@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +115,23 @@ def test_csv_output_round_trips_to_identical_bytes(capsys):
 
     _, out = run_cli(capsys, "compare", "--format", "csv")
     assert format_table(parse_csv(out), "csv") == out
+
+
+# Generated with
+#   python -m haarnewton compare --methods newton,wf,fs,oz,klw,new \
+#       --format csv --fs-variant VARIANT > tests/golden/grid_VARIANT.csv
+# A change that alters these bytes must say so and regenerate them.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("variant", ["as-printed", "standard-midpoint"])
+def test_compare_grid_matches_golden_bytes(capsys, variant):
+    code, out = run_cli(
+        capsys, "compare", "--methods", "newton,wf,fs,oz,klw,new",
+        "--format", "csv", "--fs-variant", variant,
+    )
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"grid_{variant}.csv").read_bytes()
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
