@@ -42,7 +42,7 @@ from .methods import (
     oz_step,
     wf_step,
 )
-from .quadrature import Resolution, haar_indefinite_integral, resolution_points
+from .quadrature import haar_indefinite_integral
 
 __all__ = [
     "ComparisonTable",
@@ -53,7 +53,6 @@ __all__ = [
     "MethodId",
     "Outcome",
     "Problem",
-    "Resolution",
     "Status",
     "StopCriteria",
     "SuiteEntry",
@@ -75,7 +74,6 @@ __all__ = [
     "klw_step",
     "newton_step",
     "oz_step",
-    "resolution_points",
     "run_comparison",
     "suite_entry",
     "theoretical_error_constant",

@@ -26,6 +26,8 @@ class ConvergenceReport:
 
 
 def _errors(trace: Trace, root: float) -> list[float]:
+    if not math.isfinite(root):
+        raise ValueError("root must be finite")
     return [x - root for x in trace.iterates]
 
 
@@ -47,18 +49,11 @@ def coc(trace: Trace, root: float) -> float:
     """
     if len(trace.iterates) < 4:
         raise ValueError("need at least 4 iterates to estimate an order")
-    if not math.isfinite(root):
-        raise ValueError("root must be finite")
     for e0, e1, e2 in reversed(_usable_triples(_errors(trace, root))):
         denom = math.log(abs(e1 / e0))
         if denom != 0.0:
             return math.log(abs(e2 / e1)) / denom
     return math.nan
-
-
-def usable_triple_count(trace: Trace, root: float) -> int:
-    """How many consecutive iterate triples fall inside the usable window."""
-    return len(_usable_triples(_errors(trace, root)))
 
 
 def theoretical_error_constant(c2: float, c3: float, n_points: int) -> float:
@@ -76,8 +71,6 @@ def empirical_error_constant(trace: Trace, root: float) -> float:
     """
     if len(trace.iterates) < 2:
         raise ValueError("need at least 2 iterates")
-    if not math.isfinite(root):
-        raise ValueError("root must be finite")
     errors = _errors(trace, root)
     for i in reversed(range(len(errors) - 1)):
         e_n, e_next = abs(errors[i]), abs(errors[i + 1])
@@ -101,7 +94,7 @@ def convergence_report(
         coc=coc(trace, root) if len(trace.iterates) >= 4 else math.nan,
         error_constant_empirical=empirical_error_constant(trace, root),
         error_constant_theoretical=theoretical,
-        usable_triples=usable_triple_count(trace, root),
+        usable_triples=len(_usable_triples(_errors(trace, root))),
     )
 
 

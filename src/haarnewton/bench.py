@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .analysis import classify
 from .core import Problem, StopCriteria
@@ -33,56 +33,57 @@ class ComparisonTable:
     rows: list[TableRow] = field(default_factory=list)
 
 
+SUITE = (
+    SuiteEntry(
+        Problem("f1", lambda x: x**5 - x + 1.0, lambda x: 5.0 * x**4 - 1.0),
+        2.0,
+    ),
+    SuiteEntry(
+        Problem("f2", lambda x: math.cos(x) - x, lambda x: -math.sin(x) - 1.0),
+        1.2,
+    ),
+    SuiteEntry(
+        Problem("f3", math.atan, lambda x: 1.0 / (1.0 + x * x)),
+        3.0,
+    ),
+    SuiteEntry(
+        Problem(
+            "f4",
+            lambda x: 10.0 * x * math.exp(-(x * x)) - 1.0,
+            lambda x: 10.0 * math.exp(-(x * x)) * (1.0 - 2.0 * x * x),
+        ),
+        2.5,
+    ),
+    SuiteEntry(
+        Problem(
+            "f5",
+            lambda x: math.exp(-x) * math.sin(x) + math.log(x * x + 1.0),
+            lambda x: math.exp(-x) * (math.cos(x) - math.sin(x))
+            + 2.0 * x / (x * x + 1.0),
+        ),
+        1.3,
+    ),
+    SuiteEntry(
+        Problem("f6", lambda x: x**3 - math.exp(-x), lambda x: 3.0 * x * x + math.exp(-x)),
+        2.0,
+    ),
+    SuiteEntry(
+        Problem("f7", lambda x: math.exp(-x) - math.cos(x), lambda x: -math.exp(-x) + math.sin(x)),
+        2.0,
+    ),
+)
+
+
 def builtin_suite() -> list[SuiteEntry]:
-    """The seven benchmark equations with their standard starting points."""
-    entries = [
-        SuiteEntry(
-            Problem("f1", lambda x: x**5 - x + 1.0, lambda x: 5.0 * x**4 - 1.0),
-            2.0,
-        ),
-        SuiteEntry(
-            Problem("f2", lambda x: math.cos(x) - x, lambda x: -math.sin(x) - 1.0),
-            1.2,
-        ),
-        SuiteEntry(
-            Problem("f3", math.atan, lambda x: 1.0 / (1.0 + x * x)),
-            3.0,
-        ),
-        SuiteEntry(
-            Problem(
-                "f4",
-                lambda x: 10.0 * x * math.exp(-(x * x)) - 1.0,
-                lambda x: 10.0 * math.exp(-(x * x)) * (1.0 - 2.0 * x * x),
-            ),
-            2.5,
-        ),
-        SuiteEntry(
-            Problem(
-                "f5",
-                lambda x: math.exp(-x) * math.sin(x) + math.log(x * x + 1.0),
-                lambda x: math.exp(-x) * (math.cos(x) - math.sin(x))
-                + 2.0 * x / (x * x + 1.0),
-            ),
-            1.3,
-        ),
-        SuiteEntry(
-            Problem("f6", lambda x: x**3 - math.exp(-x), lambda x: 3.0 * x * x + math.exp(-x)),
-            2.0,
-        ),
-        SuiteEntry(
-            Problem("f7", lambda x: math.exp(-x) - math.cos(x), lambda x: -math.exp(-x) + math.sin(x)),
-            2.0,
-        ),
-    ]
-    return entries
+    """The seven benchmark equations with their starting points, as a new list."""
+    return list(SUITE)
 
 
 def suite_entry(name: str) -> SuiteEntry:
-    for entry in builtin_suite():
-        if entry.problem.name == name:
-            return entry
-    known = [e.problem.name for e in builtin_suite()]
-    raise KeyError(f"unknown suite function {name!r}; known: {known}")
+    entries = {entry.problem.name: entry for entry in builtin_suite()}
+    if name not in entries:
+        raise KeyError(f"unknown suite function {name!r}; known: {list(entries)}")
+    return entries[name]
 
 
 def run_comparison(
@@ -118,52 +119,20 @@ CSV_HEADER = "function,x0,method,status,iterations,nfe,root"
 def format_table(table: ComparisonTable, fmt: str = "text") -> str:
     """Render the grid as an aligned text table, csv, or json (deterministic)."""
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in table.rows:
-            lines.append(
-                f"{r.function},{r.x0!r},{r.method},{r.status},{r.iterations},{r.nfe},{r.root}"
-            )
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        payload = [
-            {
-                "function": r.function,
-                "x0": r.x0,
-                "method": r.method,
-                "status": r.status,
-                "iterations": r.iterations,
-                "nfe": r.nfe,
-                "root": r.root,
-            }
+        lines = [CSV_HEADER] + [
+            f"{r.function},{r.x0!r},{r.method},{r.status},{r.iterations},{r.nfe},{r.root}"
             for r in table.rows
         ]
-        return json.dumps(payload, indent=2) + "\n"
+        return "\n".join(lines) + "\n"
+    if fmt == "json":
+        return json.dumps([asdict(r) for r in table.rows], indent=2) + "\n"
     if fmt == "text":
-        header = ("Function", "x0", "Method", "IT", "NFE", "x_n")
-        cells = [
+        rows = [("Function", "x0", "Method", "IT", "NFE", "x_n")] + [
             (r.function, repr(r.x0), r.method, str(r.iterations), str(r.nfe), r.root)
             for r in table.rows
         ]
-        widths = [
-            max(len(header[i]), *(len(c[i]) for c in cells)) if cells else len(header[i])
-            for i in range(6)
-        ]
-        lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
-        for c in cells:
-            lines.append("  ".join(v.ljust(widths[i]) for i, v in enumerate(c)).rstrip())
+        widths = [max(len(row[i]) for row in rows) for i in range(6)]
+        lines = ["  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() for row in rows]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}; supported: {FORMATS}")
 
-
-def parse_csv(text: str) -> ComparisonTable:
-    """Inverse of format_table(..., 'csv'); used for round-trip checks."""
-    lines = text.strip().split("\n")
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("missing or malformed csv header")
-    table = ComparisonTable()
-    for line in lines[1:]:
-        function, x0, method, status, iterations, nfe, root = line.split(",")
-        table.rows.append(
-            TableRow(function, float(x0), method, status, int(iterations), int(nfe), root)
-        )
-    return table

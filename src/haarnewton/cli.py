@@ -12,12 +12,14 @@ from . import analysis, bench
 from .core import Status, StopCriteria
 from .methods import METHOD_TAGS, FsVariant, MethodId, iterate
 
-FUNCTION_NAMES = ("f1", "f2", "f3", "f4", "f5", "f6", "f7")
+FUNCTION_NAMES = tuple(entry.problem.name for entry in bench.SUITE)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_BREAKDOWN = 3
+# every other status (diverged, iteration cap) exits EXIT_NOT_CONVERGED
+STATUS_EXIT = {Status.CONVERGED: EXIT_OK, Status.DERIVATIVE_BREAKDOWN: EXIT_BREAKDOWN}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,14 +106,6 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _status_exit(status: Status) -> int:
-    if status is Status.CONVERGED:
-        return EXIT_OK
-    if status is Status.DERIVATIVE_BREAKDOWN:
-        return EXIT_BREAKDOWN
-    return EXIT_NOT_CONVERGED
-
-
 def _run(args: argparse.Namespace, parser: _Parser):
     entry = bench.suite_entry(args.function)
     x0 = entry.x0 if args.x0 is None else args.x0
@@ -137,7 +131,7 @@ def cmd_solve(args: argparse.Namespace, parser: _Parser) -> int:
                 f"  f(x)={analysis.format_significant(r)}"
             )
     _emit("\n".join(lines) + "\n", args.out)
-    return _status_exit(outcome.status)
+    return STATUS_EXIT.get(outcome.status, EXIT_NOT_CONVERGED)
 
 
 def cmd_compare(args: argparse.Namespace, parser: _Parser) -> int:

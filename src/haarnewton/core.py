@@ -90,12 +90,15 @@ class Outcome:
     trace: Trace
 
 
+MATH_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
+
+
 def _guarded(func: Callable[[float], float], x: float) -> float:
-    # math-module functions raise on overflow/domain trouble; map that to
-    # non-finite values so callers can classify instead of crash.
+    # math-module functions raise MATH_ERRORS on overflow/domain trouble; map
+    # that to non-finite values so callers can classify instead of crash.
     try:
         value = func(x)
-    except (OverflowError, ValueError, ZeroDivisionError):
+    except MATH_ERRORS:
         return math.nan
     return value
 

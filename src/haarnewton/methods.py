@@ -1,18 +1,30 @@
 """Iterative method steps and the shared iteration driver.
 
-Each step function performs a fixed number of f/f' evaluations, so the
-total evaluation count of a run is cost-per-step times the iteration
-count. The driver keeps that identity exact by reusing the f value it
-needs for the residual test as the first evaluation of the next step.
+Newton, wf, fs and the wavelet method ("new") are one step: f'(x) becomes
+the mean of f' over n nodes, x_next = x - n*f(x) / sum f'(node). With
+d = f(x)/f'(x) the nodes are x + (-d)*c for the fractions c below, plus the
+already computed f'(x) for rules with the left endpoint:
+
+    newton  ()      + f'(x)      fs (as printed)   (2.0,)
+    wf      (1.0,)  + f'(x)      fs (standard)     (0.5,)
+    new     ((k - 0.5)/P for k = 1..P)
+
+This is bit-safe: x + (-d)*c rounds exactly as x - d*c, and for nonzero f'(x)
+f'(x) + (0.0 + v) rounds exactly as f'(x) + v. Oz and klw stay written out.
+Each step makes a fixed number of f/f' evaluations, and the driver reuses the
+residual evaluation as the next f(x), so NFE is step cost times iterations.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from .core import (
+    MATH_ERRORS,
     DerivativeBreakdownError,
     EvalCounters,
     Outcome,
@@ -24,6 +36,7 @@ from .core import (
     evaluate_f,
     evaluate_uncounted,
 )
+from .quadrature import midpoint_fractions, node_sum
 
 
 class FsVariant(enum.Enum):
@@ -37,78 +50,29 @@ class FsVariant(enum.Enum):
     STANDARD_MIDPOINT = "standard-midpoint"
 
 
-METHOD_TAGS = ("newton", "wf", "fs", "oz", "klw", "new")
-
-
-@dataclass(frozen=True)
-class MethodId:
-    """Identifies a method plus its per-method knobs.
-
-    ``haar_points`` only matters for tag "new"; ``fs_variant`` only for "fs".
-    """
-
-    tag: str
-    haar_points: int = 2
-    fs_variant: FsVariant = FsVariant.AS_PRINTED
-
-    def __post_init__(self) -> None:
-        if self.tag not in METHOD_TAGS:
-            raise ValueError(f"unknown method tag {self.tag!r}; expected one of {METHOD_TAGS}")
-        if self.haar_points < 1:
-            raise ValueError("haar_points must be >= 1")
-
-    @property
-    def step_cost(self) -> int:
-        """f plus f' evaluations per iteration."""
-        if self.tag == "newton":
-            return 2
-        if self.tag == "new":
-            return 2 + self.haar_points
-        return 3
-
-    @property
-    def label(self) -> str:
-        if self.tag == "new" and self.haar_points != 2:
-            return f"new[P={self.haar_points}]"
-        if self.tag == "fs" and self.fs_variant is FsVariant.STANDARD_MIDPOINT:
-            return "fs(std)"
-        return self.tag
-
-
 def _require(value: float) -> float:
     if value == 0.0 or not math.isfinite(value):
         raise DerivativeBreakdownError
     return value
 
 
-def _newton_from(problem: Problem, x: float, fx: float, counters: EvalCounters) -> float:
-    dfx = _require(evaluate_df(problem, x, counters))
-    return x - fx / dfx
-
-
-def _wf_from(problem: Problem, x: float, fx: float, counters: EvalCounters) -> float:
-    dfx = _require(evaluate_df(problem, x, counters))
-    z = x - fx / dfx
-    denom = _require(evaluate_df(problem, z, counters) + dfx)
-    return x - 2.0 * fx / denom
-
-
-def _fs_from(
+def _averaged_from(
+    fractions: tuple[float, ...],
+    endpoint: bool,
     problem: Problem,
     x: float,
     fx: float,
     counters: EvalCounters,
-    variant: FsVariant,
 ) -> float:
     dfx = _require(evaluate_df(problem, x, counters))
-    d = fx / dfx
-    if variant is FsVariant.AS_PRINTED:
-        inner = x - 2.0 * d
-    else:
-        # same arithmetic path as the P=1 wavelet step: x - d * 0.5
-        inner = x - d * 0.5
-    d_inner = _require(evaluate_df(problem, inner, counters))
-    return x - fx / d_inner
+    counters.n_df += len(fractions)
+    try:
+        total = node_sum(problem.df, x, -(fx / dfx), fractions)
+    except MATH_ERRORS:
+        raise DerivativeBreakdownError from None
+    if endpoint:
+        total = dfx + total
+    return x - ((len(fractions) + endpoint) * fx) / _require(total)
 
 
 def _oz_from(problem: Problem, x: float, fx: float, counters: EvalCounters) -> float:
@@ -126,26 +90,68 @@ def _klw_from(problem: Problem, x: float, fx: float, counters: EvalCounters) -> 
     return x - (shifted - fx) / dfx
 
 
-def _haar_from(
-    problem: Problem, x: float, fx: float, counters: EvalCounters, points: int
-) -> float:
-    dfx = _require(evaluate_df(problem, x, counters))
-    d = fx / dfx
-    total = 0.0
-    for k in range(1, points + 1):
-        total += evaluate_df(problem, x - d * ((k - 0.5) / points), counters)
-    _require(total)
-    return x - (points * fx) / total
+def _averaging(fractions: tuple[float, ...], endpoint: bool = False) -> Callable[..., float]:
+    return partial(_averaged_from, fractions, endpoint)
+
+
+_NEWTON = _averaging((), endpoint=True)
+_WF = _averaging((1.0,), endpoint=True)
+_FS = {
+    FsVariant.AS_PRINTED: _averaging((2.0,)),
+    FsVariant.STANDARD_MIDPOINT: _averaging((0.5,)),
+}
+
+# tag -> MethodId -> (step, f plus f' evaluations per step, label)
+_RULES = {
+    "newton": lambda m: (_NEWTON, 2, "newton"),
+    "wf": lambda m: (_WF, 3, "wf"),
+    "fs": lambda m: (
+        _FS[m.fs_variant], 3, "fs" if m.fs_variant is FsVariant.AS_PRINTED else "fs(std)"
+    ),
+    "oz": lambda m: (_oz_from, 3, "oz"),
+    "klw": lambda m: (_klw_from, 3, "klw"),
+    "new": lambda m: (
+        _averaging(midpoint_fractions(m.haar_points)),
+        2 + m.haar_points,
+        "new" if m.haar_points == 2 else f"new[P={m.haar_points}]",
+    ),
+}
+
+METHOD_TAGS = tuple(_RULES)
+
+
+@dataclass(frozen=True)
+class MethodId:
+    """Identifies a method plus its per-method knobs.
+
+    ``haar_points`` only matters for tag "new"; ``fs_variant`` only for "fs".
+    ``step``, ``step_cost`` and ``label`` come from the method table.
+    """
+
+    tag: str
+    haar_points: int = 2
+    fs_variant: FsVariant = FsVariant.AS_PRINTED
+    step: Callable[..., float] = field(init=False, repr=False, compare=False)
+    step_cost: int = field(init=False, repr=False, compare=False)
+    label: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.tag not in METHOD_TAGS:
+            raise ValueError(f"unknown method tag {self.tag!r}; expected one of {METHOD_TAGS}")
+        if self.haar_points < 1:
+            raise ValueError("haar_points must be >= 1")
+        for name, value in zip(("step", "step_cost", "label"), _RULES[self.tag](self)):
+            object.__setattr__(self, name, value)
 
 
 def newton_step(problem: Problem, x: float, counters: EvalCounters) -> float:
     """Classic quadratic step x - f/f'. Cost: 1 f, 1 f'."""
-    return _newton_from(problem, x, evaluate_f(problem, x, counters), counters)
+    return _NEWTON(problem, x, evaluate_f(problem, x, counters), counters)
 
 
 def wf_step(problem: Problem, x: float, counters: EvalCounters) -> float:
     """Trapezoid-average third-order step. Cost: 1 f, 2 f'."""
-    return _wf_from(problem, x, evaluate_f(problem, x, counters), counters)
+    return _WF(problem, x, evaluate_f(problem, x, counters), counters)
 
 
 def fs_step(
@@ -155,7 +161,7 @@ def fs_step(
     variant: FsVariant = FsVariant.AS_PRINTED,
 ) -> float:
     """Midpoint-family step in either inner-point convention. Cost: 1 f, 2 f'."""
-    return _fs_from(problem, x, evaluate_f(problem, x, counters), counters, variant)
+    return _FS[variant](problem, x, evaluate_f(problem, x, counters), counters)
 
 
 def oz_step(problem: Problem, x: float, counters: EvalCounters) -> float:
@@ -172,25 +178,8 @@ def haar_newton_step(
     problem: Problem, x: float, counters: EvalCounters, points: int = 2
 ) -> float:
     """Wavelet-quadrature modified Newton step with P nodes. Cost: 1 f, 1+P f'."""
-    if points < 1:
-        raise ValueError("points must be >= 1")
-    return _haar_from(problem, x, evaluate_f(problem, x, counters), counters, points)
-
-
-def _step_from(
-    method: MethodId, problem: Problem, x: float, fx: float, counters: EvalCounters
-) -> float:
-    if method.tag == "newton":
-        return _newton_from(problem, x, fx, counters)
-    if method.tag == "wf":
-        return _wf_from(problem, x, fx, counters)
-    if method.tag == "fs":
-        return _fs_from(problem, x, fx, counters, method.fs_variant)
-    if method.tag == "oz":
-        return _oz_from(problem, x, fx, counters)
-    if method.tag == "klw":
-        return _klw_from(problem, x, fx, counters)
-    return _haar_from(problem, x, fx, counters, method.haar_points)
+    fractions = midpoint_fractions(points)
+    return _averaged_from(fractions, False, problem, x, evaluate_f(problem, x, counters), counters)
 
 
 def iterate(
@@ -214,14 +203,13 @@ def iterate(
     fx = evaluate_f(problem, x, counters)
     trace = Trace(iterates=[x], residuals=[fx], counters=counters)
     status = Status.MAX_ITER
-    reused_residual = False
 
-    for _ in range(criteria.max_iter):
-        if reused_residual:
+    for i in range(criteria.max_iter):
+        if i:
             # the previous residual evaluation becomes this step's f(x_n)
             counters.n_f += 1
         try:
-            x_new = _step_from(method, problem, x, fx, counters)
+            x_new = method.step(problem, x, fx, counters)
         except DerivativeBreakdownError:
             status = Status.DERIVATIVE_BREAKDOWN
             break
@@ -230,17 +218,14 @@ def iterate(
         trace.iterates.append(x_new)
         trace.residuals.append(residual)
 
-        if not math.isfinite(x_new) or abs(x_new) > criteria.escape_radius:
-            x = x_new
+        step_size, x = abs(x_new - x), x_new
+        if not math.isfinite(x) or abs(x) > criteria.escape_radius:
             status = Status.DIVERGED
             break
-        if abs(x_new - x) <= criteria.step_tol or abs(residual) <= criteria.residual_tol:
-            x = x_new
+        if step_size <= criteria.step_tol or abs(residual) <= criteria.residual_tol:
             status = Status.CONVERGED
             break
-
-        reused_residual = True
-        x, fx = x_new, residual
+        fx = residual
 
     return Outcome(
         status=status,

@@ -8,44 +8,24 @@ second-order accurate on smooth ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
-
-_MAX_LEVEL = 61  # 2^(j1+1) must fit in a 64-bit signed integer
+from typing import Callable
 
 
-def resolution_points(j1: int) -> int:
-    """Node count 2*2^j1 for resolution level j1."""
-    if j1 < 0:
-        raise ValueError("resolution level must be non-negative")
-    if j1 > _MAX_LEVEL:
-        raise ValueError(f"resolution level {j1} too large (max {_MAX_LEVEL})")
-    return 2 << j1
+def midpoint_fractions(points: int) -> tuple[float, ...]:
+    """Node positions (k - 0.5)/P, k = 1..P, as fractions of the interval."""
+    if points < 1:
+        raise ValueError("node count must be >= 1")
+    return tuple((k - 0.5) / points for k in range(1, points + 1))
 
 
-@dataclass(frozen=True)
-class Resolution:
-    """Node-count configuration, either from a resolution level or directly.
-
-    ``from_level`` follows the 2M = 2^(j1+1) construction; ``from_points``
-    accepts any node count P >= 1 (then ``j1`` and ``m`` are unset).
-    """
-
-    points: int
-    j1: Optional[int] = None
-    m: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.points < 1:
-            raise ValueError("node count must be >= 1")
-
-    @classmethod
-    def from_level(cls, j1: int) -> "Resolution":
-        return cls(points=resolution_points(j1), j1=j1, m=1 << j1)
-
-    @classmethod
-    def from_points(cls, points: int) -> "Resolution":
-        return cls(points=points)
+def node_sum(
+    g: Callable[[float], float], a: float, width: float, fractions: tuple[float, ...]
+) -> float:
+    """Sum of g(a + width*c) over fractions c, left to right; g's errors propagate."""
+    total = 0.0
+    for c in fractions:
+        total += g(a + width * c)
+    return total
 
 
 def haar_indefinite_integral(
@@ -57,12 +37,8 @@ def haar_indefinite_integral(
     exactly P evaluations of g; accumulation is plain left-to-right so the
     result is deterministic.
     """
-    if points < 1:
-        raise ValueError("node count must be >= 1")
     width = b - a
-    total = 0.0
-    for k in range(1, points + 1):
-        total += g(a + width * ((k - 0.5) / points))
+    total = node_sum(g, a, width, midpoint_fractions(points))
     if a == b:
         return 0.0
     return (width / points) * total

@@ -11,7 +11,6 @@ from haarnewton.analysis import (
     empirical_error_constant,
     format_significant,
     theoretical_error_constant,
-    usable_triple_count,
 )
 from haarnewton.core import Outcome, Problem, Status, Trace
 from haarnewton.bench import suite_entry
@@ -43,7 +42,7 @@ def test_coc_no_usable_triple_returns_nan():
     # everything at roundoff scale
     trace = trace_from_errors([1e-14, 1e-15, 1e-16])
     assert math.isnan(coc(trace, 0.0))
-    assert usable_triple_count(trace, 0.0) == 0
+    assert convergence_report(trace, 0.0).usable_triples == 0
 
 
 @given(

@@ -9,12 +9,13 @@ from haarnewton.bench import (
     TableRow,
     builtin_suite,
     format_table,
-    parse_csv,
     run_comparison,
     suite_entry,
 )
 from haarnewton.core import StopCriteria
 from haarnewton.methods import FsVariant, MethodId
+
+from helpers import parse_csv
 
 PAPER_ORDER = [MethodId("wf"), MethodId("fs"), MethodId("oz"), MethodId("klw"), MethodId("new")]
 

@@ -111,7 +111,8 @@ def test_m_and_points_are_equivalent(capsys):
 
 
 def test_csv_output_round_trips_to_identical_bytes(capsys):
-    from haarnewton.bench import format_table, parse_csv
+    from haarnewton.bench import format_table
+    from helpers import parse_csv
 
     _, out = run_cli(capsys, "compare", "--format", "csv")
     assert format_table(parse_csv(out), "csv") == out

@@ -1,7 +1,8 @@
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from haarnewton.core import (
@@ -10,9 +11,12 @@ from haarnewton.core import (
     Problem,
     Status,
     StopCriteria,
+    evaluate_df,
+    evaluate_f,
 )
-from haarnewton.bench import suite_entry
+from haarnewton.bench import builtin_suite, suite_entry
 from haarnewton.methods import (
+    METHOD_TAGS,
     FsVariant,
     MethodId,
     fs_step,
@@ -133,6 +137,7 @@ def test_fixed_point_at_exact_root(root, slope, curvature):
     x=st.floats(min_value=-3, max_value=3),
     points=st.integers(min_value=1, max_value=9),
 )
+@example(a=1.5413412162146938, b=1.541015625, c=1.541015625, x=6.103515625e-05, points=1)
 def test_quadratic_coincidence(a, b, c, x, points):
     # any symmetric midpoint average of an affine f' is its midpoint value,
     # so on quadratics all three steps agree
@@ -150,7 +155,11 @@ def test_quadratic_coincidence(a, b, c, x, points):
         hn = haar_newton_step(problem, x, EvalCounters(), points=points)
     except DerivativeBreakdownError:
         return
-    scale = max(abs(wf), 1.0)
+    # the wf denominator f'(x) + f'(z) can cancel; kappa is its condition number
+    z = x - problem.f(x) / dfx
+    dfz = problem.df(z)
+    kappa = (abs(dfx) + abs(dfz)) / abs(dfx + dfz)
+    scale = kappa * max(abs(wf - x), abs(x), 1.0)
     assert abs(wf - fs) <= 1e-13 * scale
     assert abs(wf - hn) <= 1e-13 * scale
 
@@ -268,3 +277,131 @@ def test_tight_step_tolerance_counts_stay_consistent():
     outcome = iterate(MethodId("oz"), entry.problem, entry.x0, criteria)
     assert outcome.status is Status.CONVERGED
     assert outcome.nfe == 3 * outcome.iterations
+
+
+# Reference: each step formula written out longhand, one function per
+# method, evaluating in the same order as the library. The library must
+# match these bit for bit, including the evaluation counts.
+
+
+def _ref_require(value):
+    if value == 0.0 or not math.isfinite(value):
+        raise DerivativeBreakdownError
+    return value
+
+
+def ref_newton(problem, x, counters):
+    fx = evaluate_f(problem, x, counters)
+    dfx = _ref_require(evaluate_df(problem, x, counters))
+    return x - fx / dfx
+
+
+def ref_wf(problem, x, counters):
+    fx = evaluate_f(problem, x, counters)
+    dfx = _ref_require(evaluate_df(problem, x, counters))
+    z = x - fx / dfx
+    denom = _ref_require(evaluate_df(problem, z, counters) + dfx)
+    return x - 2.0 * fx / denom
+
+
+def ref_fs(problem, x, counters, variant=FsVariant.AS_PRINTED):
+    fx = evaluate_f(problem, x, counters)
+    dfx = _ref_require(evaluate_df(problem, x, counters))
+    d = fx / dfx
+    if variant is FsVariant.AS_PRINTED:
+        inner = x - 2.0 * d
+    else:
+        inner = x - d * 0.5
+    d_inner = _ref_require(evaluate_df(problem, inner, counters))
+    return x - fx / d_inner
+
+
+def ref_oz(problem, x, counters):
+    fx = evaluate_f(problem, x, counters)
+    dfx = _ref_require(evaluate_df(problem, x, counters))
+    z = x - fx / dfx
+    dz = _ref_require(evaluate_df(problem, z, counters))
+    return x - (fx / 2.0) * (1.0 / dfx + 1.0 / dz)
+
+
+def ref_klw(problem, x, counters):
+    fx = evaluate_f(problem, x, counters)
+    dfx = _ref_require(evaluate_df(problem, x, counters))
+    shifted = evaluate_f(problem, x + fx / dfx, counters)
+    if not math.isfinite(shifted):
+        raise DerivativeBreakdownError
+    return x - (shifted - fx) / dfx
+
+
+def ref_haar(problem, x, counters, points=2):
+    fx = evaluate_f(problem, x, counters)
+    dfx = _ref_require(evaluate_df(problem, x, counters))
+    d = fx / dfx
+    total = 0.0
+    for k in range(1, points + 1):
+        total += evaluate_df(problem, x - d * ((k - 0.5) / points), counters)
+    _ref_require(total)
+    return x - (points * fx) / total
+
+
+REFERENCE_POINTS = (1, 2, 3, 8, 128)
+STEP_PAIRS = (
+    [(newton_step, ref_newton, ()), (wf_step, ref_wf, ()), (oz_step, ref_oz, ()),
+     (klw_step, ref_klw, ())]
+    + [(fs_step, ref_fs, (v,)) for v in FsVariant]
+    + [(haar_newton_step, ref_haar, (p,)) for p in REFERENCE_POINTS]
+)
+
+
+def _table_step(method):
+    """``method.step`` from scratch, called like the public steps."""
+    def step(problem, x, counters, *_):
+        return method.step(problem, x, evaluate_f(problem, x, counters), counters)
+    step.__name__ = f"MethodId {method.label} step"
+    return step
+
+
+TABLE_PAIRS = (
+    [
+        (_table_step(MethodId(tag)), ref, ())
+        for tag, ref in [("newton", ref_newton), ("wf", ref_wf), ("oz", ref_oz), ("klw", ref_klw)]
+    ]
+    + [(_table_step(MethodId("fs", fs_variant=v)), ref_fs, (v,)) for v in FsVariant]
+    + [(_table_step(MethodId("new", haar_points=p)), ref_haar, (p,)) for p in REFERENCE_POINTS]
+)
+
+
+def _observe(step, problem, x, extra):
+    # repr is exact for floats and keeps the sign of zero; all NaNs compare equal
+    counters = EvalCounters()
+    try:
+        value = repr(step(problem, x, counters, *extra))
+    except DerivativeBreakdownError:
+        value = "breakdown"
+    return value, counters.n_f, counters.n_df
+
+
+@pytest.mark.parametrize("entry", builtin_suite(), ids=lambda e: e.problem.name)
+def test_steps_match_longhand_reference_bitwise(entry):
+    rng = random.Random(f"steps-{entry.problem.name}")
+    starts = [entry.x0, 0.0, 30.0, -30.0]
+    starts += [entry.x0 + rng.uniform(-4.0, 4.0) for _ in range(150)]
+    for x in starts:
+        for step, ref, extra in STEP_PAIRS + TABLE_PAIRS:
+            assert _observe(step, entry.problem, x, extra) == _observe(
+                ref, entry.problem, x, extra
+            ), (step.__name__, extra, x)
+
+
+def test_step_cost_and_label_for_every_configuration():
+    for tag in METHOD_TAGS:
+        for points in REFERENCE_POINTS:
+            for variant in FsVariant:
+                method = MethodId(tag, haar_points=points, fs_variant=variant)
+                cost = {"newton": 2, "new": 2 + points}.get(tag, 3)
+                label = tag
+                if tag == "new" and points != 2:
+                    label = f"new[P={points}]"
+                if tag == "fs" and variant is FsVariant.STANDARD_MIDPOINT:
+                    label = "fs(std)"
+                assert (method.step_cost, method.label) == (cost, label)

@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from haarnewton.quadrature import Resolution, haar_indefinite_integral, resolution_points
+from haarnewton.quadrature import haar_indefinite_integral
 
 
 def test_constant_integrand_exact():
@@ -49,12 +50,16 @@ def test_rejects_nonpositive_points():
     b=st.floats(min_value=-5, max_value=5),
     points=st.sampled_from([1, 2, 4, 8, 16]),
 )
+@example(c0=0.0, c1=1.0, a=4.0, b=4.080167092857048, points=1)
 def test_affine_exactness(c0, c1, a, b, points):
     value = haar_indefinite_integral(lambda t: c0 + c1 * t, a, b, points)
-    exact = c0 * (b - a) + c1 * (b * b - a * a) / 2.0
-    # ulp at the scale of the contributing terms, since exact may cancel to ~0
-    scale = max(abs(c0 * (b - a)), abs(c1 * (b * b - a * a) / 2.0), abs(value), 1e-300)
-    assert abs(value - exact) <= 10 * math.ulp(scale)
+    # exact rational reference: a float formula such as c1*(b*b - a*a)/2 cancels
+    fa, fb = Fraction(a), Fraction(b)
+    exact = Fraction(c0) * (fb - fa) + Fraction(c1) * (fb * fb - fa * fa) / 2
+    # the rule's rounding error scales with |b-a| times the integrand's
+    # magnitude; the floor covers subnormal widths, where rounding is absolute
+    scale = max(abs(b - a) * (abs(c0) + abs(c1) * max(abs(a), abs(b))), 1e-300)
+    assert abs(Fraction(value) - exact) <= 10 * Fraction(math.ulp(scale))
 
 
 @given(points=st.integers(min_value=1, max_value=64))
@@ -75,23 +80,3 @@ def test_second_order_error_decay_on_exp(scale):
     for coarse, fine in zip(errors, errors[1:]):
         assert 0.2 < fine / coarse < 0.3
 
-
-@pytest.mark.parametrize("j1, expected", [(0, 2), (1, 4), (3, 16)])
-def test_resolution_points(j1, expected):
-    assert resolution_points(j1) == expected
-
-
-def test_resolution_points_rejects_bad_levels():
-    with pytest.raises(ValueError):
-        resolution_points(-1)
-    with pytest.raises(ValueError):
-        resolution_points(100)
-
-
-def test_resolution_constructors():
-    r = Resolution.from_level(3)
-    assert (r.j1, r.m, r.points) == (3, 8, 16)
-    r = Resolution.from_points(5)
-    assert r.points == 5 and r.j1 is None and r.m is None
-    with pytest.raises(ValueError):
-        Resolution.from_points(0)
