@@ -49,7 +49,11 @@ def coc(trace: Trace, root: float) -> float:
     """
     if len(trace.iterates) < 4:
         raise ValueError("need at least 4 iterates to estimate an order")
-    for e0, e1, e2 in reversed(_usable_triples(_errors(trace, root))):
+    return _coc_from(_usable_triples(_errors(trace, root)))
+
+
+def _coc_from(triples: list[tuple[float, float, float]]) -> float:
+    for e0, e1, e2 in reversed(triples):
         denom = math.log(abs(e1 / e0))
         if denom != 0.0:
             return math.log(abs(e2 / e1)) / denom
@@ -71,7 +75,10 @@ def empirical_error_constant(trace: Trace, root: float) -> float:
     """
     if len(trace.iterates) < 2:
         raise ValueError("need at least 2 iterates")
-    errors = _errors(trace, root)
+    return _constant_from(_errors(trace, root))
+
+
+def _constant_from(errors: list[float]) -> float:
     for i in reversed(range(len(errors) - 1)):
         e_n, e_next = abs(errors[i]), abs(errors[i + 1])
         if CONSTANT_ERROR_MIN < e_n <= CONSTANT_ERROR_MAX and e_next > CONSTANT_NEXT_MIN:
@@ -86,15 +93,22 @@ def convergence_report(
     c3: float | None = None,
     n_points: int = 2,
 ) -> ConvergenceReport:
-    """Bundle the diagnostics; the theoretical constant needs analytic c2, c3."""
+    """Bundle the diagnostics; the theoretical constant needs analytic c2, c3.
+
+    The errors and their usable triples are computed once and shared.
+    """
     theoretical = math.nan
     if c2 is not None and c3 is not None:
         theoretical = theoretical_error_constant(c2, c3, n_points)
+    if len(trace.iterates) < 2:
+        raise ValueError("need at least 2 iterates")
+    errors = _errors(trace, root)
+    triples = _usable_triples(errors)
     return ConvergenceReport(
-        coc=coc(trace, root) if len(trace.iterates) >= 4 else math.nan,
-        error_constant_empirical=empirical_error_constant(trace, root),
+        coc=_coc_from(triples) if len(errors) >= 4 else math.nan,
+        error_constant_empirical=_constant_from(errors),
         error_constant_theoretical=theoretical,
-        usable_triples=len(_usable_triples(_errors(trace, root))),
+        usable_triples=len(triples),
     )
 
 

@@ -38,12 +38,17 @@ class Problem:
             raise ValueError("problem name must be non-empty")
 
 
-@dataclass
+@dataclass(slots=True)
 class EvalCounters:
-    """Counts of f and f' evaluations, owned by a single run."""
+    """Counts of f and f' evaluations, owned by a single run.
+
+    ``n_diag`` counts f evaluations made only for the stop test: the final
+    residual of a run, which no step reuses. It is not part of ``total``.
+    """
 
     n_f: int = 0
     n_df: int = 0
+    n_diag: int = 0
 
     @property
     def total(self) -> int:
@@ -70,7 +75,7 @@ class StopCriteria:
             raise ValueError("max_iter must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class Trace:
     """Ordered iterates with their residuals, as recorded during the run."""
 
@@ -79,7 +84,7 @@ class Trace:
     counters: EvalCounters = field(default_factory=EvalCounters)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Outcome:
     """Result of a run: status, final estimate, and cost statistics."""
 
@@ -93,28 +98,23 @@ class Outcome:
 MATH_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
 
 
-def _guarded(func: Callable[[float], float], x: float) -> float:
-    # math-module functions raise MATH_ERRORS on overflow/domain trouble; map
-    # that to non-finite values so callers can classify instead of crash.
+def evaluate_f(problem: Problem, x: float, counters: EvalCounters) -> float:
+    """Evaluate f(x), counting the call. Non-finite results are returned as-is.
+
+    math-module errors (overflow, domain) become NaN so callers can classify
+    the point instead of crashing.
+    """
+    counters.n_f += 1
     try:
-        value = func(x)
+        return problem.f(x)
     except MATH_ERRORS:
         return math.nan
-    return value
-
-
-def evaluate_f(problem: Problem, x: float, counters: EvalCounters) -> float:
-    """Evaluate f(x), counting the call. Non-finite results are returned as-is."""
-    counters.n_f += 1
-    return _guarded(problem.f, x)
 
 
 def evaluate_df(problem: Problem, x: float, counters: EvalCounters) -> float:
     """Evaluate f'(x), counting the call. Zero/non-finite values propagate."""
     counters.n_df += 1
-    return _guarded(problem.df, x)
-
-
-def evaluate_uncounted(problem: Problem, x: float) -> float:
-    """Diagnostic f evaluation that is excluded from the NFE accounting."""
-    return _guarded(problem.f, x)
+    try:
+        return problem.df(x)
+    except MATH_ERRORS:
+        return math.nan

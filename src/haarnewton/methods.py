@@ -10,17 +10,26 @@ already computed f'(x) for rules with the left endpoint:
     new     ((k - 0.5)/P for k = 1..P)
 
 This is bit-safe: x + (-d)*c rounds exactly as x - d*c, and for nonzero f'(x)
-f'(x) + (0.0 + v) rounds exactly as f'(x) + v. Oz and klw stay written out.
-Each step makes a fixed number of f/f' evaluations, and the driver reuses the
-residual evaluation as the next f(x), so NFE is step cost times iterations.
+f'(x) + (0.0 + v) rounds exactly as f'(x) + v; Newton, with no nodes, is
+x - f/f'(x). Oz and klw stay written out. Each step makes a fixed number of
+f/f' evaluations, and the driver reuses the residual evaluation as the next
+f(x), so NFE is step cost times iterations (0 iterations and NFE 1 when x0
+is an exact root).
+
+Hot path: ``iterate`` and the steps read f and f' from the ``Problem`` once
+per run or step and call them directly. Each call is guarded inline, with
+math-module errors mapped to NaN (``core.MATH_ERRORS``), as in
+``core.evaluate_f``. Each step counts its f' evaluations in one increment
+per guard, and ``iterate`` adds the reused residuals to ``n_f`` once, after
+the loop; the one residual that no step reuses goes to ``n_diag``.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from functools import partial
+from math import isfinite, nan
 from typing import Callable
 
 from .core import (
@@ -32,9 +41,7 @@ from .core import (
     Status,
     StopCriteria,
     Trace,
-    evaluate_df,
     evaluate_f,
-    evaluate_uncounted,
 )
 from .quadrature import midpoint_fractions, node_sum
 
@@ -50,12 +57,6 @@ class FsVariant(enum.Enum):
     STANDARD_MIDPOINT = "standard-midpoint"
 
 
-def _require(value: float) -> float:
-    if value == 0.0 or not math.isfinite(value):
-        raise DerivativeBreakdownError
-    return value
-
-
 def _averaged_from(
     fractions: tuple[float, ...],
     endpoint: bool,
@@ -64,28 +65,60 @@ def _averaged_from(
     fx: float,
     counters: EvalCounters,
 ) -> float:
-    dfx = _require(evaluate_df(problem, x, counters))
-    counters.n_df += len(fractions)
+    try:
+        dfx = problem.df(x)
+    except MATH_ERRORS:
+        dfx = nan
+    if dfx == 0.0 or not isfinite(dfx):
+        counters.n_df += 1
+        raise DerivativeBreakdownError
+    counters.n_df += 1 + len(fractions)
+    if not fractions:  # f'(x) + 0.0 is f'(x)
+        return x - fx / dfx
     try:
         total = node_sum(problem.df, x, -(fx / dfx), fractions)
     except MATH_ERRORS:
         raise DerivativeBreakdownError from None
     if endpoint:
         total = dfx + total
-    return x - ((len(fractions) + endpoint) * fx) / _require(total)
+    if total == 0.0 or not isfinite(total):
+        raise DerivativeBreakdownError
+    return x - ((len(fractions) + endpoint) * fx) / total
 
 
 def _oz_from(problem: Problem, x: float, fx: float, counters: EvalCounters) -> float:
-    dfx = _require(evaluate_df(problem, x, counters))
-    z = x - fx / dfx
-    dz = _require(evaluate_df(problem, z, counters))
+    df = problem.df
+    try:
+        dfx = df(x)
+    except MATH_ERRORS:
+        dfx = nan
+    counters.n_df += 1
+    if dfx == 0.0 or not isfinite(dfx):
+        raise DerivativeBreakdownError
+    try:
+        dz = df(x - fx / dfx)
+    except MATH_ERRORS:
+        dz = nan
+    counters.n_df += 1
+    if dz == 0.0 or not isfinite(dz):
+        raise DerivativeBreakdownError
     return x - (fx / 2.0) * (1.0 / dfx + 1.0 / dz)
 
 
 def _klw_from(problem: Problem, x: float, fx: float, counters: EvalCounters) -> float:
-    dfx = _require(evaluate_df(problem, x, counters))
-    shifted = evaluate_f(problem, x + fx / dfx, counters)
-    if not math.isfinite(shifted):
+    try:
+        dfx = problem.df(x)
+    except MATH_ERRORS:
+        dfx = nan
+    counters.n_df += 1
+    if dfx == 0.0 or not isfinite(dfx):
+        raise DerivativeBreakdownError
+    try:
+        shifted = problem.f(x + fx / dfx)
+    except MATH_ERRORS:
+        shifted = nan
+    counters.n_f += 1
+    if not isfinite(shifted):
         raise DerivativeBreakdownError
     return x - (shifted - fx) / dfx
 
@@ -192,45 +225,58 @@ def iterate(
 
     Never raises for numerical trouble: breakdowns and divergence are
     reported through the outcome status so benchmark grids always complete.
-    Final-iterate residuals used only for the convergence test are recorded
-    in the trace but excluded from the evaluation count.
+    An exact root at x0 is converged after 0 iterations and 1 evaluation.
+    The final residual, used only for the stop test, is recorded in the
+    trace and counted in ``n_diag``, outside the evaluation count.
     """
-    if not math.isfinite(x0):
+    if not isfinite(x0):
         raise ValueError("x0 must be finite")
 
-    counters = EvalCounters()
+    f, step = problem.f, method.step
+    step_tol, residual_tol = criteria.step_tol, criteria.residual_tol
+    escape_radius = criteria.escape_radius
+    counters = EvalCounters(n_f=1)
+    try:
+        fx = f(x0)
+    except MATH_ERRORS:
+        fx = nan
+    iterates, residuals = [x0], [fx]
     x = x0
-    fx = evaluate_f(problem, x, counters)
-    trace = Trace(iterates=[x], residuals=[fx], counters=counters)
-    status = Status.MAX_ITER
+    if fx == 0.0:  # x0 is an exact root: no step to take
+        status, max_iter = Status.CONVERGED, 0
+    else:
+        status, max_iter = Status.MAX_ITER, criteria.max_iter
 
-    for i in range(criteria.max_iter):
-        if i:
-            # the previous residual evaluation becomes this step's f(x_n)
-            counters.n_f += 1
+    for _ in range(max_iter):
         try:
-            x_new = method.step(problem, x, fx, counters)
+            x_new = step(problem, x, fx, counters)
         except DerivativeBreakdownError:
             status = Status.DERIVATIVE_BREAKDOWN
             break
-
-        residual = evaluate_uncounted(problem, x_new)
-        trace.iterates.append(x_new)
-        trace.residuals.append(residual)
+        try:
+            residual = f(x_new)
+        except MATH_ERRORS:
+            residual = nan
+        iterates.append(x_new)
+        residuals.append(residual)
 
         step_size, x = abs(x_new - x), x_new
-        if not math.isfinite(x) or abs(x) > criteria.escape_radius:
+        if not isfinite(x) or abs(x) > escape_radius:
             status = Status.DIVERGED
             break
-        if step_size <= criteria.step_tol or abs(residual) <= criteria.residual_tol:
+        if step_size <= step_tol or abs(residual) <= residual_tol:
             status = Status.CONVERGED
             break
         fx = residual
 
+    # every residual but an unused final one became the next step's f(x_n)
+    steps = len(iterates) - 1
+    counters.n_diag = 1 if steps and status is not Status.DERIVATIVE_BREAKDOWN else 0
+    counters.n_f += steps - counters.n_diag
     return Outcome(
         status=status,
         root=x,
-        iterations=len(trace.iterates) - 1,
-        nfe=counters.total,
-        trace=trace,
+        iterations=steps,
+        nfe=counters.n_f + counters.n_df,
+        trace=Trace(iterates=iterates, residuals=residuals, counters=counters),
     )

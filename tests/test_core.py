@@ -8,7 +8,6 @@ from haarnewton.core import (
     StopCriteria,
     evaluate_df,
     evaluate_f,
-    evaluate_uncounted,
 )
 from haarnewton.bench import suite_entry
 
@@ -66,11 +65,6 @@ def test_overflowing_f_returns_non_finite_instead_of_raising():
     value = evaluate_f(problem, 1e9, counters)
     assert not math.isfinite(value)
     assert counters.n_f == 1
-
-
-def test_uncounted_evaluation_leaves_no_trace_in_counters():
-    problem = suite_entry("f2").problem
-    assert evaluate_uncounted(problem, 0.0) == 1.0
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from haarnewton.core import (
+    MATH_ERRORS,
     DerivativeBreakdownError,
     EvalCounters,
     Problem,
@@ -231,6 +232,24 @@ def test_iterate_breakdown_is_an_outcome_not_an_exception():
     assert outcome.root == 0.3
 
 
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+def test_iterate_exact_root_at_start_is_converged(tag):
+    # f'(0) = 0 here, so taking a step would break down
+    cube = Problem("x3", lambda x: x**3, lambda x: 3.0 * x * x)
+    outcome = iterate(MethodId(tag), cube, 0.0)
+    counters = outcome.trace.counters
+    assert (outcome.status, outcome.root, outcome.iterations, outcome.nfe) == (
+        Status.CONVERGED, 0.0, 0, 1)
+    assert (counters.n_f, counters.n_df, counters.n_diag) == (1, 0, 0)
+    assert (outcome.trace.iterates, outcome.trace.residuals) == ([0.0], [0.0])
+
+
+def test_iterate_atan_from_its_root_takes_no_step():
+    outcome = iterate(MethodId("new"), suite_entry("f3").problem, 0.0)
+    assert (outcome.status, outcome.root, outcome.iterations, outcome.nfe) == (
+        Status.CONVERGED, 0.0, 0, 1)
+
+
 def test_iterate_rejects_non_finite_start():
     with pytest.raises(ValueError):
         iterate(MethodId("newton"), QUADRATIC, math.inf)
@@ -405,3 +424,112 @@ def test_step_cost_and_label_for_every_configuration():
                 if tag == "fs" and variant is FsVariant.STANDARD_MIDPOINT:
                     label = "fs(std)"
                 assert (method.step_cost, method.label) == (cost, label)
+
+
+# Reference: the iterate loop written out longhand. Each step is one of the
+# longhand steps above, which evaluates f(x_n) itself, counted; every
+# residual is evaluated again, uncounted. On a deterministic f this gives
+# the same bits and counts as a driver that reuses the residual as the next
+# f(x_n) and counts it then, which is what ``iterate`` does in bulk.
+
+
+def _uncounted(problem, x):
+    try:
+        return problem.f(x)
+    except MATH_ERRORS:
+        return math.nan
+
+
+def ref_iterate(ref, extra, problem, x0, criteria=StopCriteria()):
+    counters = EvalCounters()
+    x = x0
+    iterates, residuals = [x], [_uncounted(problem, x)]
+    if residuals[0] == 0.0:
+        counters.n_f += 1
+        return Status.CONVERGED, x, iterates, residuals, counters
+    status = Status.MAX_ITER
+    for _ in range(criteria.max_iter):
+        try:
+            x_new = ref(problem, x, counters, *extra)
+        except DerivativeBreakdownError:
+            status = Status.DERIVATIVE_BREAKDOWN
+            break
+        residual = _uncounted(problem, x_new)
+        iterates.append(x_new)
+        residuals.append(residual)
+        step_size, x = abs(x_new - x), x_new
+        if not math.isfinite(x) or abs(x) > criteria.escape_radius:
+            status = Status.DIVERGED
+            break
+        if step_size <= criteria.step_tol or abs(residual) <= criteria.residual_tol:
+            status = Status.CONVERGED
+            break
+    return status, x, iterates, residuals, counters
+
+
+ITERATE_CONFIGS = (
+    [(MethodId(tag), ref, ()) for tag, ref in
+     [("newton", ref_newton), ("wf", ref_wf), ("oz", ref_oz), ("klw", ref_klw)]]
+    + [(MethodId("fs", fs_variant=v), ref_fs, (v,)) for v in FsVariant]
+    + [(MethodId("new", haar_points=p), ref_haar, (p,)) for p in REFERENCE_POINTS]
+)
+
+
+def _iterate_starts(entry):
+    rng = random.Random(f"iterate-{entry.problem.name}")
+    return [entry.x0] + [entry.x0 + rng.uniform(-4.0, 4.0) for _ in range(60)]
+
+
+def test_iterate_matches_longhand_reference_bitwise():
+    statuses = set()
+    for entry in builtin_suite():
+        for x0 in _iterate_starts(entry):
+            for method, ref, extra in ITERATE_CONFIGS:
+                out = iterate(method, entry.problem, x0)
+                status, root, iterates, residuals, counters = ref_iterate(
+                    ref, extra, entry.problem, x0
+                )
+                got = (out.status, repr(out.root), out.iterations, out.nfe,
+                       out.trace.counters.n_f, out.trace.counters.n_df,
+                       list(map(repr, out.trace.iterates)), list(map(repr, out.trace.residuals)))
+                want = (status, repr(root), len(iterates) - 1, counters.total,
+                        counters.n_f, counters.n_df,
+                        list(map(repr, iterates)), list(map(repr, residuals)))
+                assert got == want, (entry.problem.name, method, x0)
+                statuses.add(out.status)
+    assert statuses == set(Status)
+
+
+def _counting(problem):
+    """``problem`` with f and f' wrapped to tally the calls they receive."""
+    calls = {"f": 0, "df": 0}
+
+    def f(x):
+        calls["f"] += 1
+        return problem.f(x)
+
+    def df(x):
+        calls["df"] += 1
+        return problem.df(x)
+
+    return Problem(problem.name, f, df), calls
+
+
+def test_counters_account_for_every_call():
+    for entry in builtin_suite():
+        problem, calls = _counting(entry.problem)
+        for x0 in _iterate_starts(entry):
+            for method, _, _ in ITERATE_CONFIGS:
+                calls.update(f=0, df=0)
+                c = iterate(method, problem, x0).trace.counters
+                assert (calls["f"], calls["df"]) == (c.n_f + c.n_diag, c.n_df), (
+                    entry.problem.name, method, x0)
+            for step, _, extra in STEP_PAIRS:
+                calls.update(f=0, df=0)
+                counters = EvalCounters()
+                try:
+                    step(problem, x0, counters, *extra)
+                except DerivativeBreakdownError:
+                    pass
+                assert (calls["f"], calls["df"], counters.n_diag) == (
+                    counters.n_f, counters.n_df, 0), (entry.problem.name, step.__name__, x0)

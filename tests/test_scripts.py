@@ -1,0 +1,41 @@
+"""Smoke tests: the experiment scripts run against the package in src/."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from haarnewton.bench import SUITE
+from haarnewton.methods import FsVariant
+
+ROOT = Path(__file__).resolve().parent.parent
+NAMES = [entry.problem.name for entry in SUITE]
+
+
+def run_script(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name)],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_reproduce_comparison_prints_both_fs_grids():
+    lines = run_script("reproduce_comparison.py")
+    headers = [line for line in lines if line.startswith("== fs inner point:")]
+    assert headers == [f"== fs inner point: {v.value} ==" for v in FsVariant]
+    for name in NAMES:
+        # five methods per grid, two grids
+        assert sum(line.split()[:1] == [name] for line in lines) == 10
+
+
+def test_convergence_diagnostics_reports_every_suite_function():
+    lines = run_script("convergence_diagnostics.py")
+    for name in NAMES:
+        assert sum(line.startswith(f"  {name}: IT=") for line in lines) == 1, name
+    assert any(line.strip().startswith("empirical:") for line in lines)
