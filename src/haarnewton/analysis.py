@@ -95,14 +95,13 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Bundle the diagnostics; the theoretical constant needs analytic c2, c3.
 
-    The errors and their usable triples are computed once and shared.
+    The errors and their usable triples are computed once and shared. A
+    trace too short for a diagnostic, or a non-finite root, gives NaN there.
     """
     theoretical = math.nan
     if c2 is not None and c3 is not None:
         theoretical = theoretical_error_constant(c2, c3, n_points)
-    if len(trace.iterates) < 2:
-        raise ValueError("need at least 2 iterates")
-    errors = _errors(trace, root)
+    errors = _errors(trace, root) if math.isfinite(root) else []
     triples = _usable_triples(errors)
     return ConvergenceReport(
         coc=_coc_from(triples) if len(errors) >= 4 else math.nan,

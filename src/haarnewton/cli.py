@@ -72,29 +72,21 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _points(args: argparse.Namespace, parser: _Parser) -> int:
+def _points(args: argparse.Namespace) -> int:
     if args.points is not None:
-        if args.points < 1:
-            parser.error("--points must be >= 1")
         return args.points
-    if args.m < 1:
-        parser.error("--m must be >= 1")
     return 2 * args.m
 
 
-def _method(tag: str, args: argparse.Namespace, parser: _Parser) -> MethodId:
+def _method(tag: str, args: argparse.Namespace) -> MethodId:
     return MethodId(
         tag=tag,
-        haar_points=_points(args, parser),
+        haar_points=_points(args),
         fs_variant=FsVariant(args.fs_variant),
     )
 
 
-def _criteria(args: argparse.Namespace, parser: _Parser) -> StopCriteria:
-    if args.tol <= 0:
-        parser.error("--tol must be positive")
-    if args.max_iter < 1:
-        parser.error("--max-iter must be >= 1")
+def _criteria(args: argparse.Namespace) -> StopCriteria:
     return StopCriteria(step_tol=args.tol, residual_tol=args.tol, max_iter=args.max_iter)
 
 
@@ -106,15 +98,15 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _run(args: argparse.Namespace, parser: _Parser):
+def _run(args: argparse.Namespace):
     entry = bench.suite_entry(args.function)
     x0 = entry.x0 if args.x0 is None else args.x0
-    method = _method(args.method, args, parser)
-    return entry, iterate(method, entry.problem, x0, _criteria(args, parser))
+    method = _method(args.method, args)
+    return entry, iterate(method, entry.problem, x0, _criteria(args))
 
 
 def cmd_solve(args: argparse.Namespace, parser: _Parser) -> int:
-    entry, outcome = _run(args, parser)
+    entry, outcome = _run(args)
     lines = [
         f"function:   {entry.problem.name}",
         f"method:     {args.method}",
@@ -140,26 +132,21 @@ def cmd_compare(args: argparse.Namespace, parser: _Parser) -> int:
     for name in names:
         if name not in FUNCTION_NAMES:
             parser.error(f"unknown function {name!r}")
-    for label in labels:
-        if label not in METHOD_TAGS:
-            parser.error(f"unknown method {label!r}")
-    if not names or not labels:
-        parser.error("need at least one function and one method")
     suite = [bench.suite_entry(name) for name in names]
-    methods = [_method(label, args, parser) for label in labels]
-    table = bench.run_comparison(suite, methods, _criteria(args, parser))
+    methods = [_method(label, args) for label in labels]
+    table = bench.run_comparison(suite, methods, _criteria(args))
     _emit(bench.format_table(table, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_coc(args: argparse.Namespace, parser: _Parser) -> int:
-    entry, outcome = _run(args, parser)
+    entry, outcome = _run(args)
     report = analysis.convergence_report(
         outcome.trace,
         outcome.root,
         c2=args.c2,
         c3=args.c3,
-        n_points=_points(args, parser),
+        n_points=_points(args),
     )
     lines = [
         f"function:             {entry.problem.name}",
@@ -179,7 +166,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {"solve": cmd_solve, "compare": cmd_compare, "coc": cmd_coc}
-    return handlers[args.command](args, parser)
+    try:
+        return handlers[args.command](args, parser)
+    except ValueError as exc:  # the library's own validation of the options
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -69,8 +69,8 @@ class StopCriteria:
     escape_radius: float = 1e8
 
     def __post_init__(self) -> None:
-        if self.step_tol <= 0 or self.residual_tol <= 0 or self.escape_radius <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        if not (self.step_tol > 0 and self.residual_tol > 0 and self.escape_radius > 0):
+            raise ValueError("tolerances and escape_radius must be positive, not NaN")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

@@ -16,12 +16,15 @@ f/f' evaluations, and the driver reuses the residual evaluation as the next
 f(x), so NFE is step cost times iterations (0 iterations and NFE 1 when x0
 is an exact root).
 
-Hot path: ``iterate`` and the steps read f and f' from the ``Problem`` once
-per run or step and call them directly. Each call is guarded inline, with
-math-module errors mapped to NaN (``core.MATH_ERRORS``), as in
-``core.evaluate_f``. Each step counts its f' evaluations in one increment
-per guard, and ``iterate`` adds the reused residuals to ``n_f`` once, after
-the loop; the one residual that no step reuses goes to ``n_diag``.
+Failures are decided in one place. Steps call f and f' directly, count
+before each call and raise: a zero or non-finite divisor is a
+``DerivativeBreakdownError``, and math-module errors and the TypeError of a
+complex value propagate. ``iterate`` classifies all of them as
+``derivative-breakdown``; the public ``*_step`` functions re-raise them as
+``DerivativeBreakdownError``. ``quadrature.node_sum`` guards each node.
+``iterate`` guards f(x0) and the residuals inline, where NaN means "go on";
+it adds the reused residuals to ``n_f`` once, after the loop, and the one
+residual that no step reuses to ``n_diag``.
 """
 
 from __future__ import annotations
@@ -65,20 +68,14 @@ def _averaged_from(
     fx: float,
     counters: EvalCounters,
 ) -> float:
-    try:
-        dfx = problem.df(x)
-    except MATH_ERRORS:
-        dfx = nan
+    counters.n_df += 1
+    dfx = problem.df(x)
     if dfx == 0.0 or not isfinite(dfx):
-        counters.n_df += 1
         raise DerivativeBreakdownError
-    counters.n_df += 1 + len(fractions)
     if not fractions:  # f'(x) + 0.0 is f'(x)
         return x - fx / dfx
-    try:
-        total = node_sum(problem.df, x, -(fx / dfx), fractions)
-    except MATH_ERRORS:
-        raise DerivativeBreakdownError from None
+    counters.n_df += len(fractions)
+    total = node_sum(problem.df, x, -(fx / dfx), fractions)
     if endpoint:
         total = dfx + total
     if total == 0.0 or not isfinite(total):
@@ -88,36 +85,24 @@ def _averaged_from(
 
 def _oz_from(problem: Problem, x: float, fx: float, counters: EvalCounters) -> float:
     df = problem.df
-    try:
-        dfx = df(x)
-    except MATH_ERRORS:
-        dfx = nan
     counters.n_df += 1
+    dfx = df(x)
     if dfx == 0.0 or not isfinite(dfx):
         raise DerivativeBreakdownError
-    try:
-        dz = df(x - fx / dfx)
-    except MATH_ERRORS:
-        dz = nan
     counters.n_df += 1
+    dz = df(x - fx / dfx)
     if dz == 0.0 or not isfinite(dz):
         raise DerivativeBreakdownError
     return x - (fx / 2.0) * (1.0 / dfx + 1.0 / dz)
 
 
 def _klw_from(problem: Problem, x: float, fx: float, counters: EvalCounters) -> float:
-    try:
-        dfx = problem.df(x)
-    except MATH_ERRORS:
-        dfx = nan
     counters.n_df += 1
+    dfx = problem.df(x)
     if dfx == 0.0 or not isfinite(dfx):
         raise DerivativeBreakdownError
-    try:
-        shifted = problem.f(x + fx / dfx)
-    except MATH_ERRORS:
-        shifted = nan
     counters.n_f += 1
+    shifted = problem.f(x + fx / dfx)
     if not isfinite(shifted):
         raise DerivativeBreakdownError
     return x - (shifted - fx) / dfx
@@ -177,14 +162,28 @@ class MethodId:
             object.__setattr__(self, name, value)
 
 
+# every way a step can fail; caught only by ``iterate`` and ``_public``
+_STEP_ERRORS = (DerivativeBreakdownError, TypeError, *MATH_ERRORS)
+
+
+def _public(
+    step: Callable[..., float], problem: Problem, x: float, counters: EvalCounters
+) -> float:
+    """Run ``step`` from x, evaluating f(x) counted; any step failure is a breakdown."""
+    try:
+        return step(problem, x, evaluate_f(problem, x, counters), counters)
+    except _STEP_ERRORS:
+        raise DerivativeBreakdownError from None
+
+
 def newton_step(problem: Problem, x: float, counters: EvalCounters) -> float:
     """Classic quadratic step x - f/f'. Cost: 1 f, 1 f'."""
-    return _NEWTON(problem, x, evaluate_f(problem, x, counters), counters)
+    return _public(_NEWTON, problem, x, counters)
 
 
 def wf_step(problem: Problem, x: float, counters: EvalCounters) -> float:
     """Trapezoid-average third-order step. Cost: 1 f, 2 f'."""
-    return _WF(problem, x, evaluate_f(problem, x, counters), counters)
+    return _public(_WF, problem, x, counters)
 
 
 def fs_step(
@@ -194,25 +193,24 @@ def fs_step(
     variant: FsVariant = FsVariant.AS_PRINTED,
 ) -> float:
     """Midpoint-family step in either inner-point convention. Cost: 1 f, 2 f'."""
-    return _FS[variant](problem, x, evaluate_f(problem, x, counters), counters)
+    return _public(_FS[variant], problem, x, counters)
 
 
 def oz_step(problem: Problem, x: float, counters: EvalCounters) -> float:
     """Arithmetic-mean-of-inverses third-order step. Cost: 1 f, 2 f'."""
-    return _oz_from(problem, x, evaluate_f(problem, x, counters), counters)
+    return _public(_oz_from, problem, x, counters)
 
 
 def klw_step(problem: Problem, x: float, counters: EvalCounters) -> float:
     """Difference-quotient third-order step. Cost: 2 f, 1 f'."""
-    return _klw_from(problem, x, evaluate_f(problem, x, counters), counters)
+    return _public(_klw_from, problem, x, counters)
 
 
 def haar_newton_step(
     problem: Problem, x: float, counters: EvalCounters, points: int = 2
 ) -> float:
     """Wavelet-quadrature modified Newton step with P nodes. Cost: 1 f, 1+P f'."""
-    fractions = midpoint_fractions(points)
-    return _averaged_from(fractions, False, problem, x, evaluate_f(problem, x, counters), counters)
+    return _public(_averaging(midpoint_fractions(points)), problem, x, counters)
 
 
 def iterate(
@@ -223,8 +221,9 @@ def iterate(
 ) -> Outcome:
     """Run a method from x0 until a stopping condition triggers.
 
-    Never raises for numerical trouble: breakdowns and divergence are
-    reported through the outcome status so benchmark grids always complete.
+    Never raises for numerical trouble: a failed step (zero or non-finite
+    derivative, math-module error, complex value) is a breakdown, and every
+    outcome is reported through its status so benchmark grids always complete.
     An exact root at x0 is converged after 0 iterations and 1 evaluation.
     The final residual, used only for the stop test, is recorded in the
     trace and counted in ``n_diag``, outside the evaluation count.
@@ -250,7 +249,9 @@ def iterate(
     for _ in range(max_iter):
         try:
             x_new = step(problem, x, fx, counters)
-        except DerivativeBreakdownError:
+            # a complex x_new, from a complex f value, raises TypeError here
+            escaped = not isfinite(x_new) or abs(x_new) > escape_radius
+        except _STEP_ERRORS:
             status = Status.DERIVATIVE_BREAKDOWN
             break
         try:
@@ -261,7 +262,7 @@ def iterate(
         residuals.append(residual)
 
         step_size, x = abs(x_new - x), x_new
-        if not isfinite(x) or abs(x) > escape_radius:
+        if escaped:
             status = Status.DIVERGED
             break
         if step_size <= step_tol or abs(residual) <= residual_tol:

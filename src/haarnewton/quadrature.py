@@ -8,7 +8,10 @@ second-order accurate on smooth ones.
 
 from __future__ import annotations
 
+from math import nan
 from typing import Callable
+
+from .core import MATH_ERRORS
 
 
 def midpoint_fractions(points: int) -> tuple[float, ...]:
@@ -21,10 +24,17 @@ def midpoint_fractions(points: int) -> tuple[float, ...]:
 def node_sum(
     g: Callable[[float], float], a: float, width: float, fractions: tuple[float, ...]
 ) -> float:
-    """Sum of g(a + width*c) over fractions c, left to right; g's errors propagate."""
+    """Sum of g(a + width*c) over fractions c, left to right.
+
+    This is the one node guard: a node where g raises a math-module error
+    adds NaN, so g is called exactly once per fraction and the sum is NaN.
+    """
     total = 0.0
     for c in fractions:
-        total += g(a + width * c)
+        try:
+            total += g(a + width * c)
+        except MATH_ERRORS:
+            total += nan
     return total
 
 
@@ -35,7 +45,8 @@ def haar_indefinite_integral(
 
     Returns ((b-a)/P) * sum_{k=1..P} g(a + (b-a)(k-0.5)/P). Always performs
     exactly P evaluations of g; accumulation is plain left-to-right so the
-    result is deterministic.
+    result is deterministic. A node where g raises a math-module error makes
+    the result NaN (0.0 on an empty interval).
     """
     width = b - a
     total = node_sum(g, a, width, midpoint_fractions(points))

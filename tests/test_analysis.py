@@ -118,6 +118,22 @@ def test_convergence_report_bundles_diagnostics():
     assert math.isnan(short.coc)
 
 
+@pytest.mark.parametrize(
+    "iterates, root",
+    [
+        ([0.0], 0.0),  # exact root at x0: no step taken
+        ([3.0, 40.0, math.inf], math.inf),  # diverged to a non-finite iterate
+    ],
+)
+def test_convergence_report_of_degenerate_trace_is_nan(iterates, root):
+    trace = Trace(iterates=iterates, residuals=[0.0] * len(iterates))
+    report = convergence_report(trace, root, c2=0.5, c3=0.1, n_points=2)
+    assert math.isnan(report.coc)
+    assert math.isnan(report.error_constant_empirical)
+    assert report.usable_triples == 0
+    assert report.error_constant_theoretical == theoretical_error_constant(0.5, 0.1, 2)
+
+
 def outcome_with(status, root):
     trace = Trace(iterates=[root], residuals=[0.0])
     return Outcome(status=status, root=root, iterations=0, nfe=0, trace=trace)

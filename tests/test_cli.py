@@ -49,11 +49,31 @@ def test_solve_unknown_method_is_usage_error(capsys):
     assert run_cli_expect_exit(capsys, "solve", "--function", "f1", "--method", "brent") == 1
 
 
-def test_bad_tolerance_is_usage_error(capsys):
-    code = run_cli_expect_exit(
-        capsys, "solve", "--function", "f1", "--method", "new", "--tol", "-1"
-    )
-    assert code == 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--tol", "-1"],
+        ["solve", "--tol", "nan"],
+        ["solve", "--x0", "nan"],
+        ["solve", "--x0", "inf"],
+        ["solve", "--m", "0"],
+        ["solve", "--points", "0"],
+        ["solve", "--max-iter", "0"],
+        ["coc", "--x0", "nan"],
+        ["compare", "--methods", "wf,brent"],
+        ["compare", "--functions", ","],
+    ],
+    ids="_".join,
+)
+def test_bad_tolerance_is_usage_error(capsys, argv):
+    if argv[0] != "compare":
+        argv = argv[:1] + ["--function", "f1", "--method", "new"] + argv[1:]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    err = capsys.readouterr().err
+    assert info.value.code == 1
+    assert "haarnewton: error:" in err
+    assert "Traceback" not in err
 
 
 def test_solve_trace_lists_iterates(capsys):
@@ -161,6 +181,20 @@ def test_coc_newton_is_quadratic(capsys):
 def test_coc_divergent_run_exits_2(capsys):
     code, _ = run_cli(capsys, "coc", "--function", "f3", "--method", "wf")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "function, method, x0",
+    [
+        ("f3", "new", "0"),  # an exact root at x0: no step taken
+        ("f4", "newton", "26.90673858593793"),  # diverges to -inf
+    ],
+)
+def test_coc_without_usable_errors_prints_nan_and_exits_2(capsys, function, method, x0):
+    code, out = run_cli(capsys, "coc", "--function", function, "--method", method, "--x0", x0)
+    assert code == 2
+    assert "order (coc):          nan" in out
+    assert "usable triples:       0" in out
 
 
 def test_coc_reports_theoretical_constant_when_given(capsys):

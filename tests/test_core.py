@@ -74,6 +74,9 @@ def test_overflowing_f_returns_non_finite_instead_of_raising():
         {"residual_tol": -1.0},
         {"max_iter": 0},
         {"escape_radius": 0.0},
+        {"step_tol": math.nan},
+        {"residual_tol": math.nan},
+        {"escape_radius": math.nan},
     ],
 )
 def test_stop_criteria_validation(kwargs):

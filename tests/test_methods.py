@@ -250,6 +250,27 @@ def test_iterate_atan_from_its_root_takes_no_step():
         Status.CONVERGED, 0.0, 0, 1)
 
 
+COMPLEX_CASES = [
+    # f and f' are complex left of 0
+    (Problem("x^1.5-2", lambda x: x**1.5 - 2.0, lambda x: 1.5 * x**0.5), -1.0),
+    # real at x0; the first Newton step lands at -3.6, where both go complex
+    (Problem("sqrt-0.1", lambda x: x**0.5 - 0.1, lambda x: 0.5 * x**-0.5), 4.0),
+    # f complex, f' real: the step itself returns a complex iterate
+    (Problem("sqrt-abs", lambda x: x**0.5 - 0.1, lambda x: 0.5 / abs(x) ** 0.5), -1.0),
+]
+
+
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+@pytest.mark.parametrize("problem, x0", COMPLEX_CASES, ids=[p.name for p, _ in COMPLEX_CASES])
+def test_complex_values_are_a_breakdown_not_an_exception(tag, problem, x0):
+    counting, calls = _counting(problem)
+    outcome = iterate(MethodId(tag), counting, x0)
+    c = outcome.trace.counters
+    assert outcome.status is Status.DERIVATIVE_BREAKDOWN
+    assert all(isinstance(x, float) for x in outcome.trace.iterates)
+    assert (calls["f"], calls["df"]) == (c.n_f + c.n_diag, c.n_df)
+
+
 def test_iterate_rejects_non_finite_start():
     with pytest.raises(ValueError):
         iterate(MethodId("newton"), QUADRATIC, math.inf)
@@ -515,15 +536,29 @@ def _counting(problem):
     return Problem(problem.name, f, df), calls
 
 
-def test_counters_account_for_every_call():
+# starts where an f' node overflows part-way through the wavelet node sum
+# (f5/new and f5/new[P=8] respectively)
+ACCOUNTING_STARTS = {"f5": [-84.0229150436985, 273.7748203153746]}
+# math.sqrt raises left of 0 and f' divides by zero at 0: from these starts
+# the klw shifted f, an oz, wf and fs f', and a wavelet node raise
+SQRT = Problem("sqrt-1", lambda x: math.sqrt(x) - 1.0, lambda x: 0.5 / math.sqrt(x))
+
+
+def _accounting_cases():
     for entry in builtin_suite():
-        problem, calls = _counting(entry.problem)
-        for x0 in _iterate_starts(entry):
+        yield entry.problem, _iterate_starts(entry) + ACCOUNTING_STARTS.get(entry.problem.name, [])
+    yield SQRT, [0.25, 3.0, 9.0]
+
+
+def test_counters_account_for_every_call():
+    for base, starts in _accounting_cases():
+        problem, calls = _counting(base)
+        for x0 in starts:
             for method, _, _ in ITERATE_CONFIGS:
                 calls.update(f=0, df=0)
                 c = iterate(method, problem, x0).trace.counters
                 assert (calls["f"], calls["df"]) == (c.n_f + c.n_diag, c.n_df), (
-                    entry.problem.name, method, x0)
+                    problem.name, method, x0)
             for step, _, extra in STEP_PAIRS:
                 calls.update(f=0, df=0)
                 counters = EvalCounters()
@@ -532,4 +567,4 @@ def test_counters_account_for_every_call():
                 except DerivativeBreakdownError:
                     pass
                 assert (calls["f"], calls["df"], counters.n_diag) == (
-                    counters.n_f, counters.n_df, 0), (entry.problem.name, step.__name__, x0)
+                    counters.n_f, counters.n_df, 0), (problem.name, step.__name__, x0)

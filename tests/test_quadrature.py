@@ -38,6 +38,20 @@ def test_evaluation_count(points):
     assert len(calls) == points
 
 
+@pytest.mark.parametrize("points", [1, 2, 5, 16])
+def test_node_that_raises_makes_the_integral_nan(points):
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        if len(calls) == 1:
+            raise OverflowError("math range error")
+        return 1.0
+
+    assert math.isnan(haar_indefinite_integral(g, 0.0, 2.0, points))
+    assert len(calls) == points
+
+
 def test_rejects_nonpositive_points():
     with pytest.raises(ValueError):
         haar_indefinite_integral(lambda t: 1.0, 0.0, 1.0, 0)
