@@ -43,39 +43,3 @@ from .methods import (
     wf_step,
 )
 from .quadrature import haar_indefinite_integral
-
-__all__ = [
-    "ComparisonTable",
-    "ConvergenceReport",
-    "DerivativeBreakdownError",
-    "EvalCounters",
-    "FsVariant",
-    "MethodId",
-    "Outcome",
-    "Problem",
-    "Status",
-    "StopCriteria",
-    "SuiteEntry",
-    "TableRow",
-    "Trace",
-    "builtin_suite",
-    "classify",
-    "coc",
-    "convergence_report",
-    "empirical_error_constant",
-    "evaluate_df",
-    "evaluate_f",
-    "format_significant",
-    "format_table",
-    "fs_step",
-    "haar_indefinite_integral",
-    "haar_newton_step",
-    "iterate",
-    "klw_step",
-    "newton_step",
-    "oz_step",
-    "run_comparison",
-    "suite_entry",
-    "theoretical_error_constant",
-    "wf_step",
-]

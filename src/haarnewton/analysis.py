@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import Outcome, Status, Trace
+from .core import FrozenRecord, Outcome, Status, Trace
 
 # Windows keeping the diagnostics in the asymptotic regime: third-order
 # methods hit roundoff within a handful of steps, so pre-asymptotic and
@@ -17,12 +16,17 @@ CONSTANT_ERROR_MAX = 1e-2
 CONSTANT_NEXT_MIN = 1e-16
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    coc: float
-    error_constant_empirical: float
-    error_constant_theoretical: float
-    usable_triples: int
+class ConvergenceReport(FrozenRecord):
+    __slots__ = _fields = (
+        "coc", "error_constant_empirical", "error_constant_theoretical", "usable_triples"
+    )
+
+    def __init__(self, coc: float, error_constant_empirical: float,
+                 error_constant_theoretical: float, usable_triples: int) -> None:
+        object.__setattr__(self, "coc", coc)
+        object.__setattr__(self, "error_constant_empirical", error_constant_empirical)
+        object.__setattr__(self, "error_constant_theoretical", error_constant_theoretical)
+        object.__setattr__(self, "usable_triples", usable_triples)
 
 
 def _errors(trace: Trace, root: float) -> list[float]:

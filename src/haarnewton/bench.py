@@ -2,35 +2,33 @@
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
 
 from .analysis import classify
-from .core import Problem, StopCriteria
+from .core import FrozenRecord, Problem, Record, StopCriteria
 from .methods import MethodId, iterate
 
 
-@dataclass(frozen=True)
-class SuiteEntry:
-    problem: Problem
-    x0: float
+class SuiteEntry(FrozenRecord):
+    __slots__ = _fields = ("problem", "x0")
+
+    def __init__(self, problem: Problem, x0: float) -> None:
+        self._store(problem, x0)
 
 
-@dataclass(frozen=True)
-class TableRow:
-    function: str
-    x0: float
-    method: str
-    status: str
-    iterations: int
-    nfe: int
-    root: str
+class TableRow(FrozenRecord):
+    __slots__ = _fields = ("function", "x0", "method", "status", "iterations", "nfe", "root")
+
+    def __init__(self, function: str, x0: float, method: str, status: str,
+                 iterations: int, nfe: int, root: str) -> None:
+        self._store(function, x0, method, status, iterations, nfe, root)
 
 
-@dataclass
-class ComparisonTable:
-    rows: list[TableRow] = field(default_factory=list)
+class ComparisonTable(Record):
+    __slots__ = _fields = ("rows",)
+
+    def __init__(self, rows: list[TableRow] | None = None) -> None:
+        self.rows = [] if rows is None else rows
 
 
 SUITE = (
@@ -125,7 +123,10 @@ def format_table(table: ComparisonTable, fmt: str = "text") -> str:
         ]
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return json.dumps([asdict(r) for r in table.rows], indent=2) + "\n"
+        import json  # only this format needs it; keeps it out of CLI start-up
+
+        rows = [dict(zip(r._fields, r._values())) for r in table.rows]
+        return json.dumps(rows, indent=2) + "\n"
     if fmt == "text":
         rows = [("Function", "x0", "Method", "IT", "NFE", "x_n")] + [
             (r.function, repr(r.x0), r.method, str(r.iterations), str(r.nfe), r.root)

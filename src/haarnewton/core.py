@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 
@@ -21,78 +20,131 @@ class DerivativeBreakdownError(Exception):
     """Raised by a step when a required derivative is zero or non-finite."""
 
 
-@dataclass(frozen=True)
-class Problem:
+_setattr = object.__setattr__  # one lookup fewer per store in hot constructors
+
+
+class Record:
+    """Slotted record base: ``Name(field=value, ...)`` repr and equality over
+    ``_fields``, the constructor's parameters in order. Mutable and unhashable;
+    ``__init__`` stores the slots directly."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+
+class FrozenRecord(Record):
+    """Immutable, hashable ``Record``: ``__init__`` stores each slot with
+    ``object.__setattr__``; assignment and deletion raise ``AttributeError``."""
+
+    __slots__ = ()
+
+    def _store(self, *values: object) -> None:
+        """Store ``values`` in ``_fields`` order; hot constructors store inline."""
+        for name, value in zip(self._fields, values):
+            _setattr(self, name, value)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Problem(FrozenRecord):
     """A scalar equation f(x) = 0 with its analytic first derivative.
 
     ``df`` must be the hand-written derivative of ``f``: the evaluation-count
     bookkeeping assumes no hidden extra calls to ``f``.
     """
 
-    name: str
-    f: Callable[[float], float]
-    df: Callable[[float], float]
+    __slots__ = _fields = ("name", "f", "df")
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str, f: Callable[[float], float],
+                 df: Callable[[float], float]) -> None:
+        if not name:
             raise ValueError("problem name must be non-empty")
+        self._store(name, f, df)
 
 
-@dataclass(slots=True)
-class EvalCounters:
+class EvalCounters(Record):
     """Counts of f and f' evaluations, owned by a single run.
 
     ``n_diag`` counts f evaluations made only for the stop test: the final
     residual of a run, which no step reuses. It is not part of ``total``.
     """
 
-    n_f: int = 0
-    n_df: int = 0
-    n_diag: int = 0
+    __slots__ = _fields = ("n_f", "n_df", "n_diag")
+
+    def __init__(self, n_f: int = 0, n_df: int = 0, n_diag: int = 0) -> None:
+        self.n_f = n_f
+        self.n_df = n_df
+        self.n_diag = n_diag
 
     @property
     def total(self) -> int:
         return self.n_f + self.n_df
 
 
-@dataclass(frozen=True)
-class StopCriteria:
+class StopCriteria(FrozenRecord):
     """Tolerances and caps governing one iteration run.
 
     Converged when |x_{n+1} - x_n| <= step_tol or |f(x_{n+1})| <= residual_tol;
     diverged when an iterate escapes ``escape_radius`` or goes non-finite.
     """
 
-    step_tol: float = 1e-15
-    residual_tol: float = 1e-15
-    max_iter: int = 100
-    escape_radius: float = 1e8
+    __slots__ = _fields = ("step_tol", "residual_tol", "max_iter", "escape_radius")
 
-    def __post_init__(self) -> None:
-        if not (self.step_tol > 0 and self.residual_tol > 0 and self.escape_radius > 0):
+    def __init__(self, step_tol: float = 1e-15, residual_tol: float = 1e-15,
+                 max_iter: int = 100, escape_radius: float = 1e8) -> None:
+        if not (step_tol > 0 and residual_tol > 0 and escape_radius > 0):
             raise ValueError("tolerances and escape_radius must be positive, not NaN")
-        if self.max_iter < 1:
+        if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        self._store(step_tol, residual_tol, max_iter, escape_radius)
 
 
-@dataclass(slots=True)
-class Trace:
+class Trace(Record):
     """Ordered iterates with their residuals, as recorded during the run."""
 
-    iterates: list[float] = field(default_factory=list)
-    residuals: list[float] = field(default_factory=list)
-    counters: EvalCounters = field(default_factory=EvalCounters)
+    __slots__ = _fields = ("iterates", "residuals", "counters")
+
+    def __init__(self, iterates: list[float] | None = None,
+                 residuals: list[float] | None = None,
+                 counters: EvalCounters | None = None) -> None:
+        self.iterates = [] if iterates is None else iterates
+        self.residuals = [] if residuals is None else residuals
+        self.counters = EvalCounters() if counters is None else counters
 
 
-@dataclass(frozen=True, slots=True)
-class Outcome:
+class Outcome(FrozenRecord):
     """Result of a run: status, final estimate, and cost statistics."""
 
-    status: Status
-    root: float
-    iterations: int
-    nfe: int
-    trace: Trace
+    __slots__ = _fields = ("status", "root", "iterations", "nfe", "trace")
+
+    def __init__(self, status: Status, root: float, iterations: int, nfe: int,
+                 trace: Trace) -> None:
+        _setattr(self, "status", status)
+        _setattr(self, "root", root)
+        _setattr(self, "iterations", iterations)
+        _setattr(self, "nfe", nfe)
+        _setattr(self, "trace", trace)
 
 
 MATH_ERRORS = (OverflowError, ValueError, ZeroDivisionError)

@@ -21,16 +21,16 @@ before each call and raise: a zero or non-finite divisor is a
 ``DerivativeBreakdownError``, and math-module errors and the TypeError of a
 complex value propagate. ``iterate`` classifies all of them as
 ``derivative-breakdown``; the public ``*_step`` functions re-raise them as
-``DerivativeBreakdownError``. ``quadrature.node_sum`` guards each node.
-``iterate`` guards f(x0) and the residuals inline, where NaN means "go on";
-it adds the reused residuals to ``n_f`` once, after the loop, and the one
-residual that no step reuses to ``n_diag``.
+``DerivativeBreakdownError`` and raise it for a complex result too.
+``quadrature.node_sum`` guards each node. ``iterate`` guards f(x0) and the
+residuals inline, where NaN means "go on"; it adds the reused residuals to
+``n_f`` once, after the loop, and the one residual that no step reuses to
+``n_diag``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from functools import partial
 from math import isfinite, nan
 from typing import Callable
@@ -39,6 +39,7 @@ from .core import (
     MATH_ERRORS,
     DerivativeBreakdownError,
     EvalCounters,
+    FrozenRecord,
     Outcome,
     Problem,
     Status,
@@ -138,27 +139,25 @@ _RULES = {
 METHOD_TAGS = tuple(_RULES)
 
 
-@dataclass(frozen=True)
-class MethodId:
+class MethodId(FrozenRecord):
     """Identifies a method plus its per-method knobs.
 
     ``haar_points`` only matters for tag "new"; ``fs_variant`` only for "fs".
-    ``step``, ``step_cost`` and ``label`` come from the method table.
+    ``step``, ``step_cost`` and ``label`` come from the method table; they
+    are left out of the repr and of equality.
     """
 
-    tag: str
-    haar_points: int = 2
-    fs_variant: FsVariant = FsVariant.AS_PRINTED
-    step: Callable[..., float] = field(init=False, repr=False, compare=False)
-    step_cost: int = field(init=False, repr=False, compare=False)
-    label: str = field(init=False, repr=False, compare=False)
+    _fields = ("tag", "haar_points", "fs_variant")
+    __slots__ = _fields + ("step", "step_cost", "label")
 
-    def __post_init__(self) -> None:
-        if self.tag not in METHOD_TAGS:
-            raise ValueError(f"unknown method tag {self.tag!r}; expected one of {METHOD_TAGS}")
-        if self.haar_points < 1:
+    def __init__(self, tag: str, haar_points: int = 2,
+                 fs_variant: FsVariant = FsVariant.AS_PRINTED) -> None:
+        if tag not in METHOD_TAGS:
+            raise ValueError(f"unknown method tag {tag!r}; expected one of {METHOD_TAGS}")
+        if haar_points < 1:
             raise ValueError("haar_points must be >= 1")
-        for name, value in zip(("step", "step_cost", "label"), _RULES[self.tag](self)):
+        self._store(tag, haar_points, fs_variant)
+        for name, value in zip(("step", "step_cost", "label"), _RULES[tag](self)):
             object.__setattr__(self, name, value)
 
 
@@ -169,11 +168,14 @@ _STEP_ERRORS = (DerivativeBreakdownError, TypeError, *MATH_ERRORS)
 def _public(
     step: Callable[..., float], problem: Problem, x: float, counters: EvalCounters
 ) -> float:
-    """Run ``step`` from x, evaluating f(x) counted; any step failure is a breakdown."""
+    """Run ``step`` from x with f(x) counted; a failure or complex result is a breakdown."""
     try:
-        return step(problem, x, evaluate_f(problem, x, counters), counters)
+        x_new = step(problem, x, evaluate_f(problem, x, counters), counters)
     except _STEP_ERRORS:
         raise DerivativeBreakdownError from None
+    if isinstance(x_new, complex):  # a complex f(x) over a real divisor
+        raise DerivativeBreakdownError
+    return x_new
 
 
 def newton_step(problem: Problem, x: float, counters: EvalCounters) -> float:

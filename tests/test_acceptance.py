@@ -7,12 +7,15 @@ rather than being loosened; see the repository README.
 """
 
 import math
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import haarnewton
 from haarnewton.analysis import (
     COC_ERROR_MAX,
     COC_ERROR_MIN,
@@ -225,8 +228,10 @@ def test_criterion_7_structural_identities():
 
 def test_criterion_8_determinism():
     cmd = [sys.executable, "-m", "haarnewton", "compare", "--format", "csv"]
-    first = subprocess.run(cmd, capture_output=True, check=True).stdout
-    second = subprocess.run(cmd, capture_output=True, check=True).stdout
+    # the child runs the copy of the package that this process imported
+    env = dict(os.environ, PYTHONPATH=str(Path(haarnewton.__file__).parents[1]))
+    first = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
+    second = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
     ok = first == second and len(first) > 0
     report(8, ok)
     assert ok

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,19 +143,21 @@ def test_csv_output_round_trips_to_identical_bytes(capsys):
 
 # Generated with
 #   python -m haarnewton compare --methods newton,wf,fs,oz,klw,new \
-#       --format csv --fs-variant VARIANT > tests/golden/grid_VARIANT.csv
+#       --format FORMAT --fs-variant VARIANT > tests/golden/grid_VARIANT.EXT
+# for FORMAT csv, text and json (EXT csv, txt and json).
 # A change that alters these bytes must say so and regenerate them.
 GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("variant", ["as-printed", "standard-midpoint"])
 def test_compare_grid_matches_golden_bytes(capsys, variant):
-    code, out = run_cli(
-        capsys, "compare", "--methods", "newton,wf,fs,oz,klw,new",
-        "--format", "csv", "--fs-variant", variant,
-    )
-    assert code == 0
-    assert out.encode() == (GOLDEN / f"grid_{variant}.csv").read_bytes()
+    for fmt, ext in [("csv", "csv"), ("text", "txt"), ("json", "json")]:
+        code, out = run_cli(
+            capsys, "compare", "--methods", "newton,wf,fs,oz,klw,new",
+            "--format", fmt, "--fs-variant", variant,
+        )
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"grid_{variant}.{ext}").read_bytes(), fmt
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -203,3 +208,28 @@ def test_coc_reports_theoretical_constant_when_given(capsys):
         "--c2", "0.5", "--c3", "0.1",
     )
     assert "theoretical constant" in out
+
+
+# Run in a fresh interpreter: the modules only count when the import of
+# haarnewton.cli is what loads them, not the interpreter's own start-up.
+LEAN_IMPORT_CHECK = """
+import sys
+before = set(sys.modules)
+from haarnewton.cli import main
+loaded = {"dataclasses", "inspect", "json"} & (set(sys.modules) - before)
+assert not loaded, f"imported with haarnewton.cli: {sorted(loaded)}"
+sys.exit(main(["compare", "--functions", "f6", "--methods", "new", "--format", "json"]))
+"""
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_json():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", LEAN_IMPORT_CHECK],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = json.loads(done.stdout)
+    assert [(r["function"], r["method"]) for r in rows] == [("f6", "new")]

@@ -271,6 +271,25 @@ def test_complex_values_are_a_breakdown_not_an_exception(tag, problem, x0):
     assert (calls["f"], calls["df"]) == (c.n_f + c.n_diag, c.n_df)
 
 
+PUBLIC_STEPS = [newton_step, wf_step, fs_step, oz_step, klw_step, haar_newton_step]
+
+
+@pytest.mark.parametrize("step", PUBLIC_STEPS, ids=lambda s: s.__name__)
+def test_public_step_with_complex_result_raises_breakdown(step):
+    problem, x0 = COMPLEX_CASES[2]
+    with pytest.raises(DerivativeBreakdownError):
+        step(problem, x0, EvalCounters())
+
+
+# klw is left out: its shifted f(x + f/f') is NaN too, which is a breakdown
+@pytest.mark.parametrize(
+    "step", [s for s in PUBLIC_STEPS if s is not klw_step], ids=lambda s: s.__name__
+)
+def test_public_step_returns_a_real_nan_result(step):
+    problem = Problem("nan", lambda x: math.nan, lambda x: 1.0)
+    assert math.isnan(step(problem, 1.0, EvalCounters()))
+
+
 def test_iterate_rejects_non_finite_start():
     with pytest.raises(ValueError):
         iterate(MethodId("newton"), QUADRATIC, math.inf)
