@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .core import FrozenRecord, Outcome, Status, Trace
+from .core import FrozenRecord, Outcome, Status, Trace, _setattr
 
 # Windows keeping the diagnostics in the asymptotic regime: third-order
 # methods hit roundoff within a handful of steps, so pre-asymptotic and
@@ -23,10 +23,10 @@ class ConvergenceReport(FrozenRecord):
 
     def __init__(self, coc: float, error_constant_empirical: float,
                  error_constant_theoretical: float, usable_triples: int) -> None:
-        object.__setattr__(self, "coc", coc)
-        object.__setattr__(self, "error_constant_empirical", error_constant_empirical)
-        object.__setattr__(self, "error_constant_theoretical", error_constant_theoretical)
-        object.__setattr__(self, "usable_triples", usable_triples)
+        _setattr(self, "coc", coc)
+        _setattr(self, "error_constant_empirical", error_constant_empirical)
+        _setattr(self, "error_constant_theoretical", error_constant_theoretical)
+        _setattr(self, "usable_triples", usable_triples)
 
 
 def _errors(trace: Trace, root: float) -> list[float]:
@@ -36,12 +36,13 @@ def _errors(trace: Trace, root: float) -> list[float]:
 
 
 def _usable_triples(errors: list[float]) -> list[tuple[float, float, float]]:
-    triples = []
-    for i in range(1, len(errors) - 1):
-        window = errors[i - 1 : i + 2]
-        if all(COC_ERROR_MIN < abs(e) < COC_ERROR_MAX for e in window):
-            triples.append(tuple(window))
-    return triples
+    """Every window of three consecutive errors that all lie inside the COC window."""
+    ok = [COC_ERROR_MIN < abs(e) < COC_ERROR_MAX for e in errors]
+    return [
+        (errors[i - 1], errors[i], errors[i + 1])
+        for i in range(1, len(errors) - 1)
+        if ok[i - 1] and ok[i] and ok[i + 1]
+    ]
 
 
 def coc(trace: Trace, root: float) -> float:
@@ -107,12 +108,8 @@ def convergence_report(
         theoretical = theoretical_error_constant(c2, c3, n_points)
     errors = _errors(trace, root) if math.isfinite(root) else []
     triples = _usable_triples(errors)
-    return ConvergenceReport(
-        coc=_coc_from(triples) if len(errors) >= 4 else math.nan,
-        error_constant_empirical=_constant_from(errors),
-        error_constant_theoretical=theoretical,
-        usable_triples=len(triples),
-    )
+    return ConvergenceReport(_coc_from(triples) if len(errors) >= 4 else math.nan,
+                             _constant_from(errors), theoretical, len(triples))
 
 
 def format_significant(x: float, digits: int = 15) -> str:

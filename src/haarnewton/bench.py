@@ -96,17 +96,9 @@ def run_comparison(
     for entry in suite:
         for method in methods:
             outcome = iterate(method, entry.problem, entry.x0, criteria)
-            table.rows.append(
-                TableRow(
-                    function=entry.problem.name,
-                    x0=entry.x0,
-                    method=method.label,
-                    status=outcome.status.value,
-                    iterations=outcome.iterations,
-                    nfe=outcome.nfe,
-                    root=classify(outcome),
-                )
-            )
+            table.rows.append(TableRow(entry.problem.name, entry.x0, method.label,
+                                       outcome.status.value, outcome.iterations,
+                                       outcome.nfe, classify(outcome)))
     return table
 
 

@@ -65,8 +65,8 @@ def build_parser() -> _Parser:
     coc = sub.add_parser("coc", help="convergence-order diagnostics for one run")
     coc.add_argument("--function", required=True, choices=FUNCTION_NAMES)
     coc.add_argument("--method", required=True, choices=METHOD_TAGS)
-    coc.add_argument("--c2", type=float, default=None, help="analytic f''(root)/(2 f'(root))")
-    coc.add_argument("--c3", type=float, default=None, help="analytic f'''(root)/(6 f'(root))")
+    coc.add_argument("--c2", type=float, default=None, help="analytic f''(root)/(2 f'(root)); new only")
+    coc.add_argument("--c3", type=float, default=None, help="analytic f'''(root)/(6 f'(root)); new only")
     _add_common(coc)
 
     return parser
@@ -79,11 +79,7 @@ def _points(args: argparse.Namespace) -> int:
 
 
 def _method(tag: str, args: argparse.Namespace) -> MethodId:
-    return MethodId(
-        tag=tag,
-        haar_points=_points(args),
-        fs_variant=FsVariant(args.fs_variant),
-    )
+    return MethodId(tag, _points(args), FsVariant(args.fs_variant))
 
 
 def _criteria(args: argparse.Namespace) -> StopCriteria:
@@ -140,6 +136,8 @@ def cmd_compare(args: argparse.Namespace, parser: _Parser) -> int:
 
 
 def cmd_coc(args: argparse.Namespace, parser: _Parser) -> int:
+    if (args.c2 is not None or args.c3 is not None) and args.method != "new":
+        parser.error("--c2/--c3: the theoretical constant is defined for method 'new' only")
     entry, outcome = _run(args)
     report = analysis.convergence_report(
         outcome.trace,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from typing import Callable
 
 
@@ -21,6 +22,14 @@ class DerivativeBreakdownError(Exception):
 
 
 _setattr = object.__setattr__  # one lookup fewer per store in hot constructors
+
+
+def as_index(value: object, name: str) -> int:
+    """``value`` as an int; a non-integral value is a ``ValueError`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
 
 
 class Record:
@@ -115,7 +124,7 @@ class StopCriteria(FrozenRecord):
                  max_iter: int = 100, escape_radius: float = 1e8) -> None:
         if not (step_tol > 0 and residual_tol > 0 and escape_radius > 0):
             raise ValueError("tolerances and escape_radius must be positive, not NaN")
-        if max_iter < 1:
+        if as_index(max_iter, "max_iter") < 1:
             raise ValueError("max_iter must be >= 1")
         self._store(step_tol, residual_tol, max_iter, escape_radius)
 

@@ -11,10 +11,12 @@ already computed f'(x) for rules with the left endpoint:
 
 This is bit-safe: x + (-d)*c rounds exactly as x - d*c, and for nonzero f'(x)
 f'(x) + (0.0 + v) rounds exactly as f'(x) + v; Newton, with no nodes, is
-x - f/f'(x). Oz and klw stay written out. Each step makes a fixed number of
-f/f' evaluations, and the driver reuses the residual evaluation as the next
-f(x), so NFE is step cost times iterations (0 iterations and NFE 1 when x0
-is an exact root).
+x - f/f'(x). ``_averaging`` builds each rule's step once, as a plain closure
+over its fractions, so the driver calls it without a ``partial`` layer. Oz
+and klw stay written out. Each step makes a fixed number of f/f'
+evaluations, and the driver reuses the residual evaluation as the next f(x),
+so NFE is step cost times iterations (0 iterations and NFE 1 when x0 is an
+exact root).
 
 Failures are decided in one place. Steps call f and f' directly, count
 before each call and raise: a zero or non-finite divisor is a
@@ -31,7 +33,6 @@ residuals inline, where NaN means "go on"; it adds the reused residuals to
 from __future__ import annotations
 
 import enum
-from functools import partial
 from math import isfinite, nan
 from typing import Callable
 
@@ -45,6 +46,7 @@ from .core import (
     Status,
     StopCriteria,
     Trace,
+    as_index,
     evaluate_f,
 )
 from .quadrature import midpoint_fractions, node_sum
@@ -59,29 +61,6 @@ class FsVariant(enum.Enum):
 
     AS_PRINTED = "as-printed"
     STANDARD_MIDPOINT = "standard-midpoint"
-
-
-def _averaged_from(
-    fractions: tuple[float, ...],
-    endpoint: bool,
-    problem: Problem,
-    x: float,
-    fx: float,
-    counters: EvalCounters,
-) -> float:
-    counters.n_df += 1
-    dfx = problem.df(x)
-    if dfx == 0.0 or not isfinite(dfx):
-        raise DerivativeBreakdownError
-    if not fractions:  # f'(x) + 0.0 is f'(x)
-        return x - fx / dfx
-    counters.n_df += len(fractions)
-    total = node_sum(problem.df, x, -(fx / dfx), fractions)
-    if endpoint:
-        total = dfx + total
-    if total == 0.0 or not isfinite(total):
-        raise DerivativeBreakdownError
-    return x - ((len(fractions) + endpoint) * fx) / total
 
 
 def _oz_from(problem: Problem, x: float, fx: float, counters: EvalCounters) -> float:
@@ -110,7 +89,26 @@ def _klw_from(problem: Problem, x: float, fx: float, counters: EvalCounters) -> 
 
 
 def _averaging(fractions: tuple[float, ...], endpoint: bool = False) -> Callable[..., float]:
-    return partial(_averaged_from, fractions, endpoint)
+    """The step x - w*f(x) / (sum of f' over the w nodes), endpoint included."""
+    n = len(fractions)
+    weight = n + endpoint
+
+    def step(problem: Problem, x: float, fx: float, counters: EvalCounters) -> float:
+        counters.n_df += 1
+        dfx = problem.df(x)
+        if dfx == 0.0 or not isfinite(dfx):
+            raise DerivativeBreakdownError
+        if not fractions:  # f'(x) + 0.0 is f'(x)
+            return x - fx / dfx
+        counters.n_df += n
+        total = node_sum(problem.df, x, -(fx / dfx), fractions)
+        if endpoint:
+            total = dfx + total
+        if total == 0.0 or not isfinite(total):
+            raise DerivativeBreakdownError
+        return x - (weight * fx) / total
+
+    return step
 
 
 _NEWTON = _averaging((), endpoint=True)
@@ -154,7 +152,7 @@ class MethodId(FrozenRecord):
                  fs_variant: FsVariant = FsVariant.AS_PRINTED) -> None:
         if tag not in METHOD_TAGS:
             raise ValueError(f"unknown method tag {tag!r}; expected one of {METHOD_TAGS}")
-        if haar_points < 1:
+        if as_index(haar_points, "haar_points") < 1:
             raise ValueError("haar_points must be >= 1")
         self._store(tag, haar_points, fs_variant)
         for name, value in zip(("step", "step_cost", "label"), _RULES[tag](self)):
@@ -236,7 +234,7 @@ def iterate(
     f, step = problem.f, method.step
     step_tol, residual_tol = criteria.step_tol, criteria.residual_tol
     escape_radius = criteria.escape_radius
-    counters = EvalCounters(n_f=1)
+    counters = EvalCounters(1)
     try:
         fx = f(x0)
     except MATH_ERRORS:
@@ -276,10 +274,5 @@ def iterate(
     steps = len(iterates) - 1
     counters.n_diag = 1 if steps and status is not Status.DERIVATIVE_BREAKDOWN else 0
     counters.n_f += steps - counters.n_diag
-    return Outcome(
-        status=status,
-        root=x,
-        iterations=steps,
-        nfe=counters.n_f + counters.n_df,
-        trace=Trace(iterates=iterates, residuals=residuals, counters=counters),
-    )
+    return Outcome(status, x, steps, counters.n_f + counters.n_df,
+                   Trace(iterates, residuals, counters))

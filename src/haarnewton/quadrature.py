@@ -8,14 +8,20 @@ second-order accurate on smooth ones.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import nan
 from typing import Callable
 
 from .core import MATH_ERRORS
 
 
+@lru_cache(maxsize=128, typed=True)
 def midpoint_fractions(points: int) -> tuple[float, ...]:
-    """Node positions (k - 0.5)/P, k = 1..P, as fractions of the interval."""
+    """Node positions (k - 0.5)/P, k = 1..P, as fractions of the interval.
+
+    Memoised: the tuple is immutable, so callers with the same P share it;
+    keyed by type as well, so an equal P of another integer type gets its own.
+    """
     if points < 1:
         raise ValueError("node count must be >= 1")
     return tuple((k - 0.5) / points for k in range(1, points + 1))

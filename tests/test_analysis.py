@@ -1,10 +1,17 @@
 import math
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from haarnewton.analysis import (
+    COC_ERROR_MAX,
+    COC_ERROR_MIN,
+    ConvergenceReport,
+    _coc_from,
+    _constant_from,
+    _usable_triples,
     classify,
     coc,
     convergence_report,
@@ -12,8 +19,8 @@ from haarnewton.analysis import (
     format_significant,
     theoretical_error_constant,
 )
-from haarnewton.core import Outcome, Problem, Status, Trace
-from haarnewton.bench import suite_entry
+from haarnewton.core import Outcome, Problem, Status, StopCriteria, Trace
+from haarnewton.bench import builtin_suite, suite_entry
 from haarnewton.methods import MethodId, iterate
 
 
@@ -132,6 +139,69 @@ def test_convergence_report_of_degenerate_trace_is_nan(iterates, root):
     assert math.isnan(report.error_constant_empirical)
     assert report.usable_triples == 0
     assert report.error_constant_theoretical == theoretical_error_constant(0.5, 0.1, 2)
+
+
+# Reference: the windowed triple search as first written, one slice and one
+# all() per window, and the report built from it by keyword.
+
+
+def ref_usable_triples(errors):
+    triples = []
+    for i in range(1, len(errors) - 1):
+        window = errors[i - 1 : i + 2]
+        if all(COC_ERROR_MIN < abs(e) < COC_ERROR_MAX for e in window):
+            triples.append(tuple(window))
+    return triples
+
+
+def ref_convergence_report(trace, root, c2=None, c3=None, n_points=2):
+    theoretical = math.nan
+    if c2 is not None and c3 is not None:
+        theoretical = theoretical_error_constant(c2, c3, n_points)
+    errors = [x - root for x in trace.iterates] if math.isfinite(root) else []
+    triples = ref_usable_triples(errors)
+    return ConvergenceReport(
+        coc=_coc_from(triples) if len(errors) >= 4 else math.nan,
+        error_constant_empirical=_constant_from(errors),
+        error_constant_theoretical=theoretical,
+        usable_triples=len(triples),
+    )
+
+
+def _report_runs():
+    for entry in builtin_suite():
+        rng = random.Random(f"report-{entry.problem.name}")
+        starts = [entry.x0] + [entry.x0 + rng.uniform(-0.5, 0.5) for _ in range(3)]
+        for points in (1, 2, 4, 8, 16, 32, 64, 128):
+            for x0 in starts:
+                yield iterate(MethodId("new", points), entry.problem, x0), points
+    f1 = suite_entry("f1")
+    capped = iterate(MethodId("new"), f1.problem, f1.x0, StopCriteria(max_iter=3))
+    assert capped.status is Status.MAX_ITER
+    yield capped, 2
+
+
+def test_convergence_report_matches_windowed_reference_on_suite_runs():
+    statuses = set()
+    for outcome, points in _report_runs():
+        for constants in ({}, {"c2": 0.5, "c3": 0.1, "n_points": points}):
+            got = convergence_report(outcome.trace, outcome.root, **constants)
+            want = ref_convergence_report(outcome.trace, outcome.root, **constants)
+            assert repr(got) == repr(want), (outcome, constants)
+        statuses.add(outcome.status)
+    assert {Status.CONVERGED, Status.MAX_ITER} <= statuses
+
+
+EDGE_ERRORS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-13, -1e-13, 1.0, -1.0, 1e-3, 2e-9]
+
+
+@given(st.lists(st.one_of(st.sampled_from(EDGE_ERRORS), st.floats()), max_size=12))
+@example([1e-1, 1e-3, 1e-9, math.nan, 1e-2, 1e-4, 1e-12])
+@example([1.0, 1e-13, 0.5, 1e-2, 1e-6, -0.0, 1e-2, 1e-5, 1e-14])
+def test_usable_triples_and_report_match_windowed_reference(errors):
+    assert repr(_usable_triples(errors)) == repr(ref_usable_triples(errors))
+    trace = Trace(iterates=errors, residuals=[0.0] * len(errors))  # root 0.0: e == x
+    assert repr(convergence_report(trace, 0.0)) == repr(ref_convergence_report(trace, 0.0))
 
 
 def outcome_with(status, root):

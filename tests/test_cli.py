@@ -210,6 +210,19 @@ def test_coc_reports_theoretical_constant_when_given(capsys):
     assert "theoretical constant" in out
 
 
+@pytest.mark.parametrize("method", ["newton", "wf", "fs", "oz", "klw"])
+@pytest.mark.parametrize(
+    "constants", [("--c2", "0.5", "--c3", "0.1"), ("--c2", "0.5"), ("--c3", "0.1")]
+)
+def test_coc_constants_for_a_method_other_than_new_are_a_usage_error(capsys, method, constants):
+    with pytest.raises(SystemExit) as info:
+        main(["coc", "--function", "f6", "--method", method, *constants])
+    captured = capsys.readouterr()
+    assert info.value.code == 1
+    assert captured.out == ""
+    assert "defined for method 'new' only" in captured.err
+
+
 # Run in a fresh interpreter: the modules only count when the import of
 # haarnewton.cli is what loads them, not the interpreter's own start-up.
 LEAN_IMPORT_CHECK = """

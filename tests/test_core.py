@@ -92,6 +92,17 @@ def test_stop_criteria_validation(kwargs):
         StopCriteria(**kwargs)
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0, math.nan, math.inf, "3"])
+def test_stop_criteria_rejects_non_integral_max_iter(value):
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        StopCriteria(max_iter=value)
+
+
+def test_stop_criteria_keeps_its_message_for_max_iter_below_one():
+    with pytest.raises(ValueError, match="^max_iter must be >= 1$"):
+        StopCriteria(max_iter=0)
+
+
 def test_stop_criteria_defaults():
     criteria = StopCriteria()
     assert criteria.step_tol == 1e-15

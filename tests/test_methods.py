@@ -1,5 +1,6 @@
 import math
 import random
+import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -326,8 +327,23 @@ def test_trace_residuals_match_recorded_evaluations():
 def test_method_id_validation():
     with pytest.raises(ValueError):
         MethodId("brent")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^haar_points must be >= 1$"):
         MethodId("new", haar_points=0)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, math.nan, "3"])
+@pytest.mark.parametrize("tag", ["new", "wf"])
+def test_method_id_rejects_non_integral_points(tag, value):
+    with pytest.raises(ValueError, match="haar_points must be an integer"):
+        MethodId(tag, haar_points=value)
+
+
+def test_table_steps_are_plain_functions():
+    # a plain function is called inline by the interpreter loop; a partial is not
+    for tag in METHOD_TAGS:
+        for variant in FsVariant:
+            step = MethodId(tag, haar_points=4, fs_variant=variant).step
+            assert type(step) is types.FunctionType, (tag, variant, step)
 
 
 def test_tight_step_tolerance_counts_stay_consistent():

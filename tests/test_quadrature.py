@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from haarnewton.quadrature import haar_indefinite_integral
+from haarnewton.quadrature import haar_indefinite_integral, midpoint_fractions
 
 
 def test_constant_integrand_exact():
@@ -55,6 +55,15 @@ def test_node_that_raises_makes_the_integral_nan(points):
 def test_rejects_nonpositive_points():
     with pytest.raises(ValueError):
         haar_indefinite_integral(lambda t: 1.0, 0.0, 1.0, 0)
+
+
+def test_midpoint_fractions_are_memoised_and_still_validate_every_call():
+    first = midpoint_fractions(8)
+    assert midpoint_fractions(8) is first
+    assert first == tuple((k - 0.5) / 8 for k in range(1, 9))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="node count must be >= 1"):
+            midpoint_fractions(0)
 
 
 @given(
