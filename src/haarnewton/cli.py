@@ -53,6 +53,7 @@ def build_parser() -> _Parser:
     solve.add_argument("--method", required=True, choices=METHOD_TAGS)
     solve.add_argument("--trace", action="store_true", help="print the per-iterate trace")
     _add_common(solve)
+    solve.set_defaults(handler=cmd_solve, parser=solve)
 
     compare = sub.add_parser("compare", help="run the benchmark comparison grid")
     compare.add_argument("--functions", default=",".join(FUNCTION_NAMES),
@@ -61,6 +62,7 @@ def build_parser() -> _Parser:
                          help="comma-separated method labels")
     compare.add_argument("--format", choices=bench.FORMATS, default="text")
     _add_common(compare)
+    compare.set_defaults(handler=cmd_compare, parser=compare)
 
     coc = sub.add_parser("coc", help="convergence-order diagnostics for one run")
     coc.add_argument("--function", required=True, choices=FUNCTION_NAMES)
@@ -68,6 +70,7 @@ def build_parser() -> _Parser:
     coc.add_argument("--c2", type=float, default=None, help="analytic f''(root)/(2 f'(root)); new only")
     coc.add_argument("--c3", type=float, default=None, help="analytic f'''(root)/(6 f'(root)); new only")
     _add_common(coc)
+    coc.set_defaults(handler=cmd_coc, parser=coc)
 
     return parser
 
@@ -161,13 +164,11 @@ def cmd_coc(args: argparse.Namespace, parser: _Parser) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {"solve": cmd_solve, "compare": cmd_compare, "coc": cmd_coc}
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args, parser)
+        return args.handler(args, args.parser)
     except ValueError as exc:  # the library's own validation of the options
-        parser.error(str(exc))
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

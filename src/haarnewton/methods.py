@@ -11,12 +11,19 @@ already computed f'(x) for rules with the left endpoint:
 
 This is bit-safe: x + (-d)*c rounds exactly as x - d*c, and for nonzero f'(x)
 f'(x) + (0.0 + v) rounds exactly as f'(x) + v; Newton, with no nodes, is
-x - f/f'(x). ``_averaging`` builds each rule's step once, as a plain closure
-over its fractions, so the driver calls it without a ``partial`` layer. Oz
-and klw stay written out. Each step makes a fixed number of f/f'
-evaluations, and the driver reuses the residual evaluation as the next f(x),
-so NFE is step cost times iterations (0 iterations and NFE 1 when x0 is an
-exact root).
+x - f/f'(x). Oz and klw stay written out. Each step makes a fixed number of
+f/f' evaluations, and the driver reuses the residual evaluation as the next
+f(x), so NFE is step cost times iterations (0 iterations and NFE 1 when x0
+is an exact root).
+
+``iterate`` runs every method in one loop with the step inlined by the
+family spec of ``MethodId.family``: averaging (node fractions and an
+endpoint flag), oz or klw. All three share the prefix that counts,
+evaluates and checks f'(x). A one-node rule evaluates its node inline; its
+sum then lacks node_sum's leading 0.0, which only changes the sign of a zero
+sum, a breakdown either way. ``MethodId.step`` and the public ``*_step``
+functions keep each formula as a plain function, so every formula exists
+twice; a parity test pins the two copies together.
 
 Failures are decided in one place. Steps call f and f' directly, count
 before each call and raise: a zero or non-finite divisor is a
@@ -24,10 +31,11 @@ before each call and raise: a zero or non-finite divisor is a
 complex value propagate. ``iterate`` classifies all of them as
 ``derivative-breakdown``; the public ``*_step`` functions re-raise them as
 ``DerivativeBreakdownError`` and raise it for a complex result too.
-``quadrature.node_sum`` guards each node. ``iterate`` guards f(x0) and the
-residuals inline, where NaN means "go on"; it adds the reused residuals to
-``n_f`` once, after the loop, and the one residual that no step reuses to
-``n_diag``.
+``quadrature.node_sum`` guards each node of a multi-node rule. ``iterate``
+guards f(x0) and the residuals inline, where NaN means "go on". It keeps its
+counts in locals, each incremented before its call, and builds
+``EvalCounters`` once, after the loop: the reused residuals go to ``n_f``
+and the one residual that no step reuses to ``n_diag``.
 """
 
 from __future__ import annotations
@@ -111,24 +119,32 @@ def _averaging(fractions: tuple[float, ...], endpoint: bool = False) -> Callable
     return step
 
 
-_NEWTON = _averaging((), endpoint=True)
-_WF = _averaging((1.0,), endpoint=True)
-_FS = {
-    FsVariant.AS_PRINTED: _averaging((2.0,)),
-    FsVariant.STANDARD_MIDPOINT: _averaging((0.5,)),
-}
+_AVERAGING, _OZ, _KLW = "averaging", "oz", "klw"
 
-# tag -> MethodId -> (step, f plus f' evaluations per step, label)
+
+def _step_for(family: str, fractions: tuple[float, ...], endpoint: bool) -> Callable[..., float]:
+    """The step function of a family spec; ``iterate`` runs the same formulas inline."""
+    if family is _AVERAGING:
+        return _averaging(fractions, endpoint)
+    return _oz_from if family is _OZ else _klw_from
+
+
+_FS_FRACTIONS = {FsVariant.AS_PRINTED: (2.0,), FsVariant.STANDARD_MIDPOINT: (0.5,)}
+
+# tag -> MethodId -> ((family, node fractions, endpoint flag),
+#                     f plus f' evaluations per step, label)
 _RULES = {
-    "newton": lambda m: (_NEWTON, 2, "newton"),
-    "wf": lambda m: (_WF, 3, "wf"),
+    "newton": lambda m: ((_AVERAGING, (), True), 2, "newton"),
+    "wf": lambda m: ((_AVERAGING, (1.0,), True), 3, "wf"),
     "fs": lambda m: (
-        _FS[m.fs_variant], 3, "fs" if m.fs_variant is FsVariant.AS_PRINTED else "fs(std)"
+        (_AVERAGING, _FS_FRACTIONS[m.fs_variant], False),
+        3,
+        "fs" if m.fs_variant is FsVariant.AS_PRINTED else "fs(std)",
     ),
-    "oz": lambda m: (_oz_from, 3, "oz"),
-    "klw": lambda m: (_klw_from, 3, "klw"),
+    "oz": lambda m: ((_OZ, (), False), 3, "oz"),
+    "klw": lambda m: ((_KLW, (), False), 3, "klw"),
     "new": lambda m: (
-        _averaging(midpoint_fractions(m.haar_points)),
+        (_AVERAGING, midpoint_fractions(m.haar_points), False),
         2 + m.haar_points,
         "new" if m.haar_points == 2 else f"new[P={m.haar_points}]",
     ),
@@ -141,12 +157,12 @@ class MethodId(FrozenRecord):
     """Identifies a method plus its per-method knobs.
 
     ``haar_points`` only matters for tag "new"; ``fs_variant`` only for "fs".
-    ``step``, ``step_cost`` and ``label`` come from the method table; they
-    are left out of the repr and of equality.
+    ``family``, ``step``, ``step_cost`` and ``label`` come from the method
+    table; they are left out of the repr and of equality.
     """
 
     _fields = ("tag", "haar_points", "fs_variant")
-    __slots__ = _fields + ("step", "step_cost", "label")
+    __slots__ = _fields + ("family", "step", "step_cost", "label")
 
     def __init__(self, tag: str, haar_points: int = 2,
                  fs_variant: FsVariant = FsVariant.AS_PRINTED) -> None:
@@ -155,9 +171,15 @@ class MethodId(FrozenRecord):
         if as_index(haar_points, "haar_points") < 1:
             raise ValueError("haar_points must be >= 1")
         self._store(tag, haar_points, fs_variant)
-        for name, value in zip(("step", "step_cost", "label"), _RULES[tag](self)):
+        family, step_cost, label = _RULES[tag](self)
+        for name, value in zip(("family", "step", "step_cost", "label"),
+                               (family, _step_for(*family), step_cost, label)):
             object.__setattr__(self, name, value)
 
+
+_NEWTON = MethodId("newton").step
+_WF = MethodId("wf").step
+_FS = {variant: MethodId("fs", fs_variant=variant).step for variant in FsVariant}
 
 # every way a step can fail; caught only by ``iterate`` and ``_public``
 _STEP_ERRORS = (DerivativeBreakdownError, TypeError, *MATH_ERRORS)
@@ -231,10 +253,13 @@ def iterate(
     if not isfinite(x0):
         raise ValueError("x0 must be finite")
 
-    f, step = problem.f, method.step
+    f, df = problem.f, problem.df
+    family, fractions, endpoint = method.family
+    n = len(fractions)
+    weight, c = n + endpoint, fractions[0] if n == 1 else None
     step_tol, residual_tol = criteria.step_tol, criteria.residual_tol
     escape_radius = criteria.escape_radius
-    counters = EvalCounters(1)
+    n_f, n_df = 1, 0
     try:
         fx = f(x0)
     except MATH_ERRORS:
@@ -248,7 +273,40 @@ def iterate(
 
     for _ in range(max_iter):
         try:
-            x_new = step(problem, x, fx, counters)
+            # the step of ``method.step``, inlined; each count precedes its call
+            n_df += 1
+            dfx = df(x)
+            if dfx == 0.0 or not isfinite(dfx):
+                raise DerivativeBreakdownError
+            if family is _AVERAGING:
+                if not n:  # Newton: f'(x) + 0.0 is f'(x)
+                    x_new = x - fx / dfx
+                else:
+                    n_df += n
+                    if n == 1:  # node_sum's guard on its one node
+                        try:
+                            total = df(x + -(fx / dfx) * c)
+                        except MATH_ERRORS:
+                            total = nan
+                    else:
+                        total = node_sum(df, x, -(fx / dfx), fractions)
+                    if endpoint:
+                        total = dfx + total
+                    if total == 0.0 or not isfinite(total):
+                        raise DerivativeBreakdownError
+                    x_new = x - (weight * fx) / total
+            elif family is _OZ:
+                n_df += 1
+                dz = df(x - fx / dfx)
+                if dz == 0.0 or not isfinite(dz):
+                    raise DerivativeBreakdownError
+                x_new = x - (fx / 2.0) * (1.0 / dfx + 1.0 / dz)
+            else:  # klw
+                n_f += 1
+                shifted = f(x + fx / dfx)
+                if not isfinite(shifted):
+                    raise DerivativeBreakdownError
+                x_new = x - (shifted - fx) / dfx
             # a complex x_new, from a complex f value, raises TypeError here
             escaped = not isfinite(x_new) or abs(x_new) > escape_radius
         except _STEP_ERRORS:
@@ -272,7 +330,7 @@ def iterate(
 
     # every residual but an unused final one became the next step's f(x_n)
     steps = len(iterates) - 1
-    counters.n_diag = 1 if steps and status is not Status.DERIVATIVE_BREAKDOWN else 0
-    counters.n_f += steps - counters.n_diag
-    return Outcome(status, x, steps, counters.n_f + counters.n_df,
-                   Trace(iterates, residuals, counters))
+    n_diag = 1 if steps and status is not Status.DERIVATIVE_BREAKDOWN else 0
+    n_f += steps - n_diag
+    return Outcome(status, x, steps, n_f + n_df,
+                   Trace(iterates, residuals, EvalCounters(n_f, n_df, n_diag)))

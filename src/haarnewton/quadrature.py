@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import nan
 from typing import Callable
 
-from .core import MATH_ERRORS
+from .core import MATH_ERRORS, as_index
 
 
 @lru_cache(maxsize=128, typed=True)
@@ -21,8 +21,9 @@ def midpoint_fractions(points: int) -> tuple[float, ...]:
 
     Memoised: the tuple is immutable, so callers with the same P share it;
     keyed by type as well, so an equal P of another integer type gets its own.
+    A non-integral P is a ``ValueError``, as is P < 1.
     """
-    if points < 1:
+    if as_index(points, "node count") < 1:
         raise ValueError("node count must be >= 1")
     return tuple((k - 0.5) / points for k in range(1, points + 1))
 

@@ -96,6 +96,12 @@ def test_theoretical_constant_rejects_bad_node_count():
         theoretical_error_constant(0.5, 0.5, 0)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, math.nan, "3"])
+def test_theoretical_constant_rejects_non_integral_node_count(n):
+    with pytest.raises(ValueError, match="n_points must be an integer"):
+        theoretical_error_constant(0.5, 0.5, n)
+
+
 def test_empirical_error_constant_direct_quotient():
     trace = trace_from_errors([1e-2, 2.4e-7])
     assert empirical_error_constant(trace, 0.0) == pytest.approx(0.24, rel=1e-9)

@@ -75,7 +75,9 @@ def test_bad_tolerance_is_usage_error(capsys, argv):
         main(argv)
     err = capsys.readouterr().err
     assert info.value.code == 1
-    assert "haarnewton: error:" in err
+    # reported by the subcommand's parser, as argparse reports its own errors
+    assert err.startswith(f"usage: haarnewton {argv[0]} [-h] ")
+    assert f"\nhaarnewton {argv[0]}: error: " in err
     assert "Traceback" not in err
 
 

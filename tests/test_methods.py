@@ -106,6 +106,14 @@ def test_haar_step_rejects_bad_points():
         haar_newton_step(QUADRATIC, 3.0, EvalCounters(), points=0)
 
 
+@pytest.mark.parametrize("points", [2.5, 2.0, math.nan, "3"])
+def test_haar_step_rejects_non_integral_points(points):
+    counters = EvalCounters()
+    with pytest.raises(ValueError, match="node count must be an integer"):
+        haar_newton_step(QUADRATIC, 3.0, counters, points=points)
+    assert (counters.n_f, counters.n_df) == (0, 0)
+
+
 @pytest.mark.parametrize(
     "step",
     [newton_step, wf_step, fs_step, oz_step, klw_step, haar_newton_step],
@@ -603,3 +611,32 @@ def test_counters_account_for_every_call():
                     pass
                 assert (calls["f"], calls["df"], counters.n_diag) == (
                     counters.n_f, counters.n_df, 0), (problem.name, step.__name__, x0)
+
+
+# Parity: ``iterate`` runs each step inline, a second copy of the formulas
+# that the public steps run. One step of ``iterate`` from x0 must match the
+# public step from x0: the same first iterate or breakdown, and the same
+# f and f' counts (the step's own, without the final residual's n_diag).
+PUBLIC_FOR = {(ref, extra): step for step, ref, extra in STEP_PAIRS}
+
+
+def _parity_cases():
+    yield from _accounting_cases()
+    for problem, x0 in COMPLEX_CASES:
+        yield problem, [x0]
+
+
+def test_one_iterate_step_matches_the_public_step():
+    one_step = StopCriteria(max_iter=1)
+    for problem, starts in _parity_cases():
+        for x0 in starts:
+            for method, ref, extra in ITERATE_CONFIGS:
+                out = iterate(method, problem, x0, one_step)
+                if out.iterations == 0 and out.status is Status.CONVERGED:
+                    continue  # x0 is an exact root: no step to compare
+                c = out.trace.counters
+                first = out.trace.iterates[1:2]
+                got = (repr(first[0]) if first else "breakdown", c.n_f, c.n_df)
+                assert (out.status is Status.DERIVATIVE_BREAKDOWN) == (not first)
+                assert got == _observe(PUBLIC_FOR[ref, extra], problem, x0, extra), (
+                    problem.name, method, x0)

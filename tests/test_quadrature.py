@@ -66,6 +66,14 @@ def test_midpoint_fractions_are_memoised_and_still_validate_every_call():
             midpoint_fractions(0)
 
 
+@pytest.mark.parametrize("points", [2.5, 2.0, math.nan, "3"])
+def test_non_integral_node_count_is_a_value_error(points):
+    with pytest.raises(ValueError, match="node count must be an integer"):
+        midpoint_fractions(points)
+    with pytest.raises(ValueError, match="node count must be an integer"):
+        haar_indefinite_integral(lambda t: 1.0, 0.0, 1.0, points)
+
+
 @given(
     c0=st.floats(min_value=-10, max_value=10),
     c1=st.floats(min_value=-10, max_value=10),
