@@ -31,11 +31,12 @@ before each call and raise: a zero or non-finite divisor is a
 complex value propagate. ``iterate`` classifies all of them as
 ``derivative-breakdown``; the public ``*_step`` functions re-raise them as
 ``DerivativeBreakdownError`` and raise it for a complex result too.
-``quadrature.node_sum`` guards each node of a multi-node rule. ``iterate``
-guards f(x0) and the residuals inline, where NaN means "go on". It keeps its
-counts in locals, each incremented before its call, and builds
-``EvalCounters`` once, after the loop: the reused residuals go to ``n_f``
-and the one residual that no step reuses to ``n_diag``.
+``quadrature.node_sum`` guards each node; ``iterate`` guards the node of a
+one-node rule inline, the same way. ``iterate`` also guards f(x0) and the
+residuals inline, where NaN means "go on". It keeps its counts in locals,
+each incremented before its call, and builds ``EvalCounters`` once, after
+the loop: the reused residuals go to ``n_f`` and the one residual that no
+step reuses to ``n_diag``.
 """
 
 from __future__ import annotations
