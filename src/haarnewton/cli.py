@@ -29,12 +29,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _count(text: str) -> int:
+    """The argparse type of --m, --points and --max-iter: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--m", type=int, default=1, help="resolution multiplier M; node count is 2M")
-    sub.add_argument("--points", type=int, default=None, help="node count override (P >= 1)")
+    sub.add_argument("--m", type=_count, default=1, help="resolution multiplier M; node count is 2M")
+    sub.add_argument("--points", type=_count, default=None, help="node count override (P >= 1)")
     sub.add_argument("--x0", type=float, default=None, help="starting point override")
     sub.add_argument("--tol", type=float, default=1e-15, help="step and residual tolerance")
-    sub.add_argument("--max-iter", type=int, default=100)
+    sub.add_argument("--max-iter", type=_count, default=100)
     sub.add_argument(
         "--fs-variant",
         choices=[v.value for v in FsVariant],
@@ -82,7 +93,7 @@ def _points(args: argparse.Namespace) -> int:
 
 
 def _method(tag: str, args: argparse.Namespace) -> MethodId:
-    return MethodId(tag, _points(args), FsVariant(args.fs_variant))
+    return MethodId(tag, _points(args), args.fs_variant)
 
 
 def _criteria(args: argparse.Namespace) -> StopCriteria:
@@ -167,7 +178,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args, args.parser)
-    except ValueError as exc:  # the library's own validation of the options
+    # the library's own validation of the options, or an --out path that cannot be opened
+    except (ValueError, OSError) as exc:
         args.parser.error(str(exc))
 
 

@@ -21,16 +21,16 @@ family spec of ``MethodId.family``: averaging (node fractions and an
 endpoint flag), oz or klw. All three share the prefix that counts,
 evaluates and checks f'(x). A one-node rule evaluates its node inline; its
 sum then lacks node_sum's leading 0.0, which only changes the sign of a zero
-sum, a breakdown either way. ``MethodId.step`` and the public ``*_step``
-functions keep each formula as a plain function, so every formula exists
-twice; a parity test pins the two copies together.
+sum, a breakdown either way. ``_step``, which the public ``*_step`` functions
+run on a table spec, is the same loop body for one counted step, so every
+formula exists twice, in one shape; a parity test pins the copies together.
 
-Failures are decided in one place. Steps call f and f' directly, count
-before each call and raise: a zero or non-finite divisor is a
+Failures are decided in one place. A step calls f and f' directly, counts
+before each call and raises: a zero or non-finite divisor is a
 ``DerivativeBreakdownError``, and math-module errors and the TypeError of a
 complex value propagate. ``iterate`` classifies all of them as
-``derivative-breakdown``; the public ``*_step`` functions re-raise them as
-``DerivativeBreakdownError`` and raise it for a complex result too.
+``derivative-breakdown``; ``_step`` re-raises them as
+``DerivativeBreakdownError`` and raises it for a complex result too.
 ``quadrature.node_sum`` guards each node; ``iterate`` guards the node of a
 one-node rule inline, the same way. ``iterate`` also guards f(x0) and the
 residuals inline, where NaN means "go on". It keeps its counts in locals,
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import enum
 from math import isfinite, nan
-from typing import Callable
 
 from .core import (
     MATH_ERRORS,
@@ -72,63 +71,7 @@ class FsVariant(enum.Enum):
     STANDARD_MIDPOINT = "standard-midpoint"
 
 
-def _oz_from(problem: Problem, x: float, fx: float, counters: EvalCounters) -> float:
-    df = problem.df
-    counters.n_df += 1
-    dfx = df(x)
-    if dfx == 0.0 or not isfinite(dfx):
-        raise DerivativeBreakdownError
-    counters.n_df += 1
-    dz = df(x - fx / dfx)
-    if dz == 0.0 or not isfinite(dz):
-        raise DerivativeBreakdownError
-    return x - (fx / 2.0) * (1.0 / dfx + 1.0 / dz)
-
-
-def _klw_from(problem: Problem, x: float, fx: float, counters: EvalCounters) -> float:
-    counters.n_df += 1
-    dfx = problem.df(x)
-    if dfx == 0.0 or not isfinite(dfx):
-        raise DerivativeBreakdownError
-    counters.n_f += 1
-    shifted = problem.f(x + fx / dfx)
-    if not isfinite(shifted):
-        raise DerivativeBreakdownError
-    return x - (shifted - fx) / dfx
-
-
-def _averaging(fractions: tuple[float, ...], endpoint: bool = False) -> Callable[..., float]:
-    """The step x - w*f(x) / (sum of f' over the w nodes), endpoint included."""
-    n = len(fractions)
-    weight = n + endpoint
-
-    def step(problem: Problem, x: float, fx: float, counters: EvalCounters) -> float:
-        counters.n_df += 1
-        dfx = problem.df(x)
-        if dfx == 0.0 or not isfinite(dfx):
-            raise DerivativeBreakdownError
-        if not fractions:  # f'(x) + 0.0 is f'(x)
-            return x - fx / dfx
-        counters.n_df += n
-        total = node_sum(problem.df, x, -(fx / dfx), fractions)
-        if endpoint:
-            total = dfx + total
-        if total == 0.0 or not isfinite(total):
-            raise DerivativeBreakdownError
-        return x - (weight * fx) / total
-
-    return step
-
-
 _AVERAGING, _OZ, _KLW = "averaging", "oz", "klw"
-
-
-def _step_for(family: str, fractions: tuple[float, ...], endpoint: bool) -> Callable[..., float]:
-    """The step function of a family spec; ``iterate`` runs the same formulas inline."""
-    if family is _AVERAGING:
-        return _averaging(fractions, endpoint)
-    return _oz_from if family is _OZ else _klw_from
-
 
 _FS_FRACTIONS = {FsVariant.AS_PRINTED: (2.0,), FsVariant.STANDARD_MIDPOINT: (0.5,)}
 
@@ -158,40 +101,64 @@ class MethodId(FrozenRecord):
     """Identifies a method plus its per-method knobs.
 
     ``haar_points`` only matters for tag "new"; ``fs_variant`` only for "fs".
-    ``family``, ``step``, ``step_cost`` and ``label`` come from the method
-    table; they are left out of the repr and of equality.
+    ``fs_variant`` is an ``FsVariant`` or its string value; anything else is a
+    ``ValueError``. ``family``, ``step_cost`` and ``label`` come from the
+    method table; they are left out of the repr and of equality.
     """
 
     _fields = ("tag", "haar_points", "fs_variant")
-    __slots__ = _fields + ("family", "step", "step_cost", "label")
+    __slots__ = _fields + ("family", "step_cost", "label")
 
     def __init__(self, tag: str, haar_points: int = 2,
-                 fs_variant: FsVariant = FsVariant.AS_PRINTED) -> None:
+                 fs_variant: FsVariant | str = FsVariant.AS_PRINTED) -> None:
         if tag not in METHOD_TAGS:
             raise ValueError(f"unknown method tag {tag!r}; expected one of {METHOD_TAGS}")
         if as_index(haar_points, "haar_points") < 1:
             raise ValueError("haar_points must be >= 1")
-        self._store(tag, haar_points, fs_variant)
-        family, step_cost, label = _RULES[tag](self)
-        for name, value in zip(("family", "step", "step_cost", "label"),
-                               (family, _step_for(*family), step_cost, label)):
+        self._store(tag, haar_points, FsVariant(fs_variant))
+        for name, value in zip(("family", "step_cost", "label"), _RULES[tag](self)):
             object.__setattr__(self, name, value)
 
 
-_NEWTON = MethodId("newton").step
-_WF = MethodId("wf").step
-_FS = {variant: MethodId("fs", fs_variant=variant).step for variant in FsVariant}
-
-# every way a step can fail; caught only by ``iterate`` and ``_public``
+# every way a step can fail; caught only by ``iterate`` and ``_step``
 _STEP_ERRORS = (DerivativeBreakdownError, TypeError, *MATH_ERRORS)
 
 
-def _public(
-    step: Callable[..., float], problem: Problem, x: float, counters: EvalCounters
-) -> float:
-    """Run ``step`` from x with f(x) counted; a failure or complex result is a breakdown."""
+def _step(spec: tuple, problem: Problem, x: float, counters: EvalCounters) -> float:
+    """One step of family spec ``spec`` from x, f(x) included: ``iterate``'s loop
+    body, counted in ``counters``. A failure or complex result is a breakdown."""
+    family, fractions, endpoint = spec
+    f, df = problem.f, problem.df
+    n = len(fractions)
     try:
-        x_new = step(problem, x, evaluate_f(problem, x, counters), counters)
+        fx = evaluate_f(problem, x, counters)
+        counters.n_df += 1
+        dfx = df(x)
+        if dfx == 0.0 or not isfinite(dfx):
+            raise DerivativeBreakdownError
+        if family is _AVERAGING:
+            if not n:  # Newton: f'(x) + 0.0 is f'(x)
+                x_new = x - fx / dfx
+            else:
+                counters.n_df += n
+                total = node_sum(df, x, -(fx / dfx), fractions)
+                if endpoint:
+                    total = dfx + total
+                if total == 0.0 or not isfinite(total):
+                    raise DerivativeBreakdownError
+                x_new = x - ((n + endpoint) * fx) / total
+        elif family is _OZ:
+            counters.n_df += 1
+            dz = df(x - fx / dfx)
+            if dz == 0.0 or not isfinite(dz):
+                raise DerivativeBreakdownError
+            x_new = x - (fx / 2.0) * (1.0 / dfx + 1.0 / dz)
+        else:  # klw
+            counters.n_f += 1
+            shifted = f(x + fx / dfx)
+            if not isfinite(shifted):
+                raise DerivativeBreakdownError
+            x_new = x - (shifted - fx) / dfx
     except _STEP_ERRORS:
         raise DerivativeBreakdownError from None
     if isinstance(x_new, complex):  # a complex f(x) over a real divisor
@@ -199,41 +166,44 @@ def _public(
     return x_new
 
 
+_SPECS = {tag: MethodId(tag).family for tag in ("newton", "wf", "oz", "klw")}
+_FS_SPECS = {variant: MethodId("fs", fs_variant=variant).family for variant in FsVariant}
+
+
 def newton_step(problem: Problem, x: float, counters: EvalCounters) -> float:
     """Classic quadratic step x - f/f'. Cost: 1 f, 1 f'."""
-    return _public(_NEWTON, problem, x, counters)
+    return _step(_SPECS["newton"], problem, x, counters)
 
 
 def wf_step(problem: Problem, x: float, counters: EvalCounters) -> float:
     """Trapezoid-average third-order step. Cost: 1 f, 2 f'."""
-    return _public(_WF, problem, x, counters)
+    return _step(_SPECS["wf"], problem, x, counters)
 
 
-def fs_step(
-    problem: Problem,
-    x: float,
-    counters: EvalCounters,
-    variant: FsVariant = FsVariant.AS_PRINTED,
-) -> float:
-    """Midpoint-family step in either inner-point convention. Cost: 1 f, 2 f'."""
-    return _public(_FS[variant], problem, x, counters)
+def fs_step(problem: Problem, x: float, counters: EvalCounters,
+            variant: FsVariant | str = FsVariant.AS_PRINTED) -> float:
+    """Midpoint-family step in either inner-point convention. Cost: 1 f, 2 f'.
+
+    ``variant`` is an ``FsVariant`` or its value; anything else is a ``ValueError``.
+    """
+    return _step(_FS_SPECS[FsVariant(variant)], problem, x, counters)
 
 
 def oz_step(problem: Problem, x: float, counters: EvalCounters) -> float:
     """Arithmetic-mean-of-inverses third-order step. Cost: 1 f, 2 f'."""
-    return _public(_oz_from, problem, x, counters)
+    return _step(_SPECS["oz"], problem, x, counters)
 
 
 def klw_step(problem: Problem, x: float, counters: EvalCounters) -> float:
     """Difference-quotient third-order step. Cost: 2 f, 1 f'."""
-    return _public(_klw_from, problem, x, counters)
+    return _step(_SPECS["klw"], problem, x, counters)
 
 
 def haar_newton_step(
     problem: Problem, x: float, counters: EvalCounters, points: int = 2
 ) -> float:
     """Wavelet-quadrature modified Newton step with P nodes. Cost: 1 f, 1+P f'."""
-    return _public(_averaging(midpoint_fractions(points)), problem, x, counters)
+    return _step((_AVERAGING, midpoint_fractions(points), False), problem, x, counters)
 
 
 def iterate(
@@ -274,7 +244,7 @@ def iterate(
 
     for _ in range(max_iter):
         try:
-            # the step of ``method.step``, inlined; each count precedes its call
+            # the body of ``_step``, inlined; each count precedes its call
             n_df += 1
             dfx = df(x)
             if dfx == 0.0 or not isfinite(dfx):

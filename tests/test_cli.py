@@ -65,6 +65,7 @@ def test_solve_unknown_method_is_usage_error(capsys):
         ["coc", "--x0", "nan"],
         ["compare", "--methods", "wf,brent"],
         ["compare", "--functions", ","],
+        ["solve", "--out", os.path.join(os.devnull, "x.txt")],
     ],
     ids="_".join,
 )
@@ -79,6 +80,15 @@ def test_bad_tolerance_is_usage_error(capsys, argv):
     assert err.startswith(f"usage: haarnewton {argv[0]} [-h] ")
     assert f"\nhaarnewton {argv[0]}: error: " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option", ["--m", "--points", "--max-iter"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_count_option_below_one_names_the_option(capsys, option, value):
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--function", "f1", "--method", "new", option, value])
+    assert info.value.code == 1
+    assert f"haarnewton solve: error: argument {option}: " in capsys.readouterr().err
 
 
 def test_solve_trace_lists_iterates(capsys):

@@ -1,6 +1,5 @@
 import math
 import random
-import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -346,12 +345,26 @@ def test_method_id_rejects_non_integral_points(tag, value):
         MethodId(tag, haar_points=value)
 
 
-def test_table_steps_are_plain_functions():
-    # a plain function is called inline by the interpreter loop; a partial is not
-    for tag in METHOD_TAGS:
-        for variant in FsVariant:
-            step = MethodId(tag, haar_points=4, fs_variant=variant).step
-            assert type(step) is types.FunctionType, (tag, variant, step)
+def test_fs_variant_is_the_member_or_its_value():
+    for variant in FsVariant:
+        assert MethodId("fs", fs_variant=variant.value) == MethodId("fs", fs_variant=variant)
+        assert MethodId("wf", fs_variant=variant.value).fs_variant is variant
+        assert fs_step(QUADRATIC, 3.0, EvalCounters(), variant.value) == fs_step(
+            QUADRATIC, 3.0, EvalCounters(), variant)
+    assert MethodId("fs", fs_variant="standard-midpoint").label == "fs(std)"
+
+
+@pytest.mark.parametrize("tag", ["fs", "wf"])
+def test_method_id_rejects_unknown_fs_variant(tag):
+    with pytest.raises(ValueError):
+        MethodId(tag, fs_variant="bogus")
+
+
+def test_fs_step_rejects_unknown_variant_before_evaluating():
+    counters = EvalCounters()
+    with pytest.raises(ValueError):
+        fs_step(QUADRATIC, 3.0, counters, "bogus")
+    assert (counters.n_f, counters.n_df) == (0, 0)
 
 
 def test_tight_step_tolerance_counts_stay_consistent():
@@ -436,24 +449,6 @@ STEP_PAIRS = (
 )
 
 
-def _table_step(method):
-    """``method.step`` from scratch, called like the public steps."""
-    def step(problem, x, counters, *_):
-        return method.step(problem, x, evaluate_f(problem, x, counters), counters)
-    step.__name__ = f"MethodId {method.label} step"
-    return step
-
-
-TABLE_PAIRS = (
-    [
-        (_table_step(MethodId(tag)), ref, ())
-        for tag, ref in [("newton", ref_newton), ("wf", ref_wf), ("oz", ref_oz), ("klw", ref_klw)]
-    ]
-    + [(_table_step(MethodId("fs", fs_variant=v)), ref_fs, (v,)) for v in FsVariant]
-    + [(_table_step(MethodId("new", haar_points=p)), ref_haar, (p,)) for p in REFERENCE_POINTS]
-)
-
-
 def _observe(step, problem, x, extra):
     # repr is exact for floats and keeps the sign of zero; all NaNs compare equal
     counters = EvalCounters()
@@ -470,7 +465,7 @@ def test_steps_match_longhand_reference_bitwise(entry):
     starts = [entry.x0, 0.0, 30.0, -30.0]
     starts += [entry.x0 + rng.uniform(-4.0, 4.0) for _ in range(150)]
     for x in starts:
-        for step, ref, extra in STEP_PAIRS + TABLE_PAIRS:
+        for step, ref, extra in STEP_PAIRS:
             assert _observe(step, entry.problem, x, extra) == _observe(
                 ref, entry.problem, x, extra
             ), (step.__name__, extra, x)
@@ -614,9 +609,10 @@ def test_counters_account_for_every_call():
 
 
 # Parity: ``iterate`` runs each step inline, a second copy of the formulas
-# that the public steps run. One step of ``iterate`` from x0 must match the
-# public step from x0: the same first iterate or breakdown, and the same
-# f and f' counts (the step's own, without the final residual's n_diag).
+# in ``methods._step``, which the public steps run. One step of ``iterate``
+# from x0 must match the public step from x0: the same first iterate or
+# breakdown, and the same f and f' counts (the step's own, without the final
+# residual's n_diag).
 PUBLIC_FOR = {(ref, extra): step for step, ref, extra in STEP_PAIRS}
 
 
