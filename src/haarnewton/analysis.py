@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .core import FrozenRecord, Outcome, Status, Trace, _setattr, as_index
+from .core import FrozenRecord, Outcome, Status, Trace, _setattr, as_count
 
 # Windows keeping the diagnostics in the asymptotic regime: third-order
 # methods hit roundoff within a handful of steps, so pre-asymptotic and
@@ -67,8 +67,7 @@ def _coc_from(triples: list[tuple[float, float, float]]) -> float:
 
 def theoretical_error_constant(c2: float, c3: float, n_points: int) -> float:
     """Leading cubic error coefficient c2^2 - c3/(4 N^2) for an N-node run."""
-    if as_index(n_points, "n_points") < 1:
-        raise ValueError("n_points must be >= 1")
+    n_points = as_count(n_points, "n_points")
     return c2 * c2 - c3 / (4.0 * n_points * n_points)
 
 

@@ -103,7 +103,7 @@ def run_comparison(
 
 
 FORMATS = ("text", "csv", "json")
-CSV_HEADER = "function,x0,method,status,iterations,nfe,root"
+CSV_HEADER = ",".join(TableRow._fields)
 
 
 def format_table(table: ComparisonTable, fmt: str = "text") -> str:

@@ -9,7 +9,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import analysis, bench
-from .core import Status, StopCriteria
+from .core import Status, StopCriteria, as_count
 from .methods import METHOD_TAGS, FsVariant, MethodId, iterate
 
 FUNCTION_NAMES = tuple(entry.problem.name for entry in bench.SUITE)
@@ -32,12 +32,9 @@ class _Parser(argparse.ArgumentParser):
 def _count(text: str) -> int:
     """The argparse type of --m, --points and --max-iter: an integer >= 1."""
     try:
-        value = int(text)
+        return as_count(int(text), "count")
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}") from None
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -115,7 +112,7 @@ def _run(args: argparse.Namespace):
     return entry, iterate(method, entry.problem, x0, _criteria(args))
 
 
-def cmd_solve(args: argparse.Namespace, parser: _Parser) -> int:
+def cmd_solve(args: argparse.Namespace) -> int:
     entry, outcome = _run(args)
     lines = [
         f"function:   {entry.problem.name}",
@@ -136,12 +133,12 @@ def cmd_solve(args: argparse.Namespace, parser: _Parser) -> int:
     return STATUS_EXIT.get(outcome.status, EXIT_NOT_CONVERGED)
 
 
-def cmd_compare(args: argparse.Namespace, parser: _Parser) -> int:
+def cmd_compare(args: argparse.Namespace) -> int:
     names = [n.strip() for n in args.functions.split(",") if n.strip()]
     labels = [m.strip() for m in args.methods.split(",") if m.strip()]
     for name in names:
         if name not in FUNCTION_NAMES:
-            parser.error(f"unknown function {name!r}")
+            raise ValueError(f"unknown function {name!r}")
     suite = [bench.suite_entry(name) for name in names]
     methods = [_method(label, args) for label in labels]
     table = bench.run_comparison(suite, methods, _criteria(args))
@@ -149,9 +146,11 @@ def cmd_compare(args: argparse.Namespace, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def cmd_coc(args: argparse.Namespace, parser: _Parser) -> int:
+def cmd_coc(args: argparse.Namespace) -> int:
     if (args.c2 is not None or args.c3 is not None) and args.method != "new":
-        parser.error("--c2/--c3: the theoretical constant is defined for method 'new' only")
+        raise ValueError("--c2/--c3: the theoretical constant is defined for method 'new' only")
+    if (args.c2 is None) != (args.c3 is None):
+        raise ValueError("--c2/--c3: give both constants or neither")
     entry, outcome = _run(args)
     report = analysis.convergence_report(
         outcome.trace,
@@ -168,7 +167,7 @@ def cmd_coc(args: argparse.Namespace, parser: _Parser) -> int:
         f"usable triples:       {report.usable_triples}",
         f"empirical constant:   {report.error_constant_empirical:.6g}",
     ]
-    if args.c2 is not None and args.c3 is not None:
+    if args.c2 is not None:
         lines.append(f"theoretical constant: {report.error_constant_theoretical:.6g}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if math.isfinite(report.coc) else EXIT_NOT_CONVERGED
@@ -177,8 +176,8 @@ def cmd_coc(args: argparse.Namespace, parser: _Parser) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args, args.parser)
-    # the library's own validation of the options, or an --out path that cannot be opened
+        return args.handler(args)
+    # a handler's or the library's check of the options, or an --out path that cannot be opened
     except (ValueError, OSError) as exc:
         args.parser.error(str(exc))
 

@@ -24,12 +24,15 @@ class DerivativeBreakdownError(Exception):
 _setattr = object.__setattr__  # one lookup fewer per store in hot constructors
 
 
-def as_index(value: object, name: str) -> int:
-    """``value`` as an int; a non-integral value is a ``ValueError`` naming ``name``."""
+def as_count(value: object, name: str) -> int:
+    """``value`` as an int >= 1; anything else is a ``ValueError`` naming ``name``."""
     try:
-        return operator.index(value)
+        count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return count
 
 
 class Record:
@@ -59,8 +62,8 @@ class FrozenRecord(Record):
     __slots__ = ()
 
     def _store(self, *values: object) -> None:
-        """Store ``values`` in ``_fields`` order; hot constructors store inline."""
-        for name, value in zip(self._fields, values):
+        """Store ``values`` in ``__slots__`` order; hot constructors store inline."""
+        for name, value in zip(self.__slots__, values):
             _setattr(self, name, value)
 
     def __hash__(self) -> int:
@@ -115,18 +118,20 @@ class StopCriteria(FrozenRecord):
     """Tolerances and caps governing one iteration run.
 
     Converged when |x_{n+1} - x_n| <= step_tol or |f(x_{n+1})| <= residual_tol;
-    diverged when an iterate escapes ``escape_radius`` or goes non-finite.
+    diverged when an iterate escapes ``escape_radius`` or goes non-finite. The
+    tolerances are finite and > 0; ``escape_radius`` is > 0, inf for no radius.
     """
 
     __slots__ = _fields = ("step_tol", "residual_tol", "max_iter", "escape_radius")
 
     def __init__(self, step_tol: float = 1e-15, residual_tol: float = 1e-15,
                  max_iter: int = 100, escape_radius: float = 1e8) -> None:
-        if not (step_tol > 0 and residual_tol > 0 and escape_radius > 0):
-            raise ValueError("tolerances and escape_radius must be positive, not NaN")
-        if as_index(max_iter, "max_iter") < 1:
-            raise ValueError("max_iter must be >= 1")
-        self._store(step_tol, residual_tol, max_iter, escape_radius)
+        for name, tol in (("step_tol", step_tol), ("residual_tol", residual_tol)):
+            if not 0 < tol < math.inf:
+                raise ValueError(f"{name} must be a finite number > 0, not {tol!r}")
+        if not escape_radius > 0:
+            raise ValueError(f"escape_radius must be a number > 0, not {escape_radius!r}")
+        self._store(step_tol, residual_tol, as_count(max_iter, "max_iter"), escape_radius)
 
 
 class Trace(Record):

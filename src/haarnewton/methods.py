@@ -10,33 +10,35 @@ already computed f'(x) for rules with the left endpoint:
     new     ((k - 0.5)/P for k = 1..P)
 
 This is bit-safe: x + (-d)*c rounds exactly as x - d*c, and for nonzero f'(x)
-f'(x) + (0.0 + v) rounds exactly as f'(x) + v; Newton, with no nodes, is
-x - f/f'(x). Oz and klw stay written out. Each step makes a fixed number of
-f/f' evaluations, and the driver reuses the residual evaluation as the next
-f(x), so NFE is step cost times iterations (0 iterations and NFE 1 when x0
-is an exact root).
+f'(x) + (0.0 + v) rounds exactly as f'(x) + v; Newton, with no nodes, rounds
+as x - f/f'(x). Oz and klw stay written out. Each step makes a fixed number
+of f/f' evaluations, and the driver reuses the residual evaluation as the
+next f(x), so NFE is step cost times iterations (0 iterations and NFE 1 when
+x0 is an exact root).
 
 ``iterate`` runs every method in one loop with the step inlined by the
 family spec of ``MethodId.family``: averaging (node fractions and an
 endpoint flag), oz or klw. All three share the prefix that counts,
-evaluates and checks f'(x). A one-node rule evaluates its node inline; its
-sum then lacks node_sum's leading 0.0, which only changes the sign of a zero
-sum, a breakdown either way. ``_step``, which the public ``*_step`` functions
-run on a table spec, is the same loop body for one counted step, so every
-formula exists twice, in one shape; a parity test pins the copies together.
+evaluates and checks f'(x). Two forks pay for themselves there: Newton
+skips the empty node sum, and a one-node rule evaluates its node inline;
+its sum then lacks node_sum's leading 0.0, which only changes the sign of a
+zero sum, a breakdown either way. ``_step``, which the public ``*_step``
+functions run on a table spec, is the same step without the forks, on
+``core.evaluate_f``/``evaluate_df`` and ``node_sum``; so every formula
+exists twice, and a parity test pins the copies together.
 
-Failures are decided in one place. A step calls f and f' directly, counts
+Failures are decided in one place. The loop calls f and f' directly, counts
 before each call and raises: a zero or non-finite divisor is a
 ``DerivativeBreakdownError``, and math-module errors and the TypeError of a
-complex value propagate. ``iterate`` classifies all of them as
-``derivative-breakdown``; ``_step`` re-raises them as
-``DerivativeBreakdownError`` and raises it for a complex result too.
+complex value propagate; ``iterate`` classifies them all as
+``derivative-breakdown``. In ``_step`` a counted evaluation turns a
+math-module error into NaN, which the same checks reject, and every failure
+and a complex result raise ``DerivativeBreakdownError``.
 ``quadrature.node_sum`` guards each node; ``iterate`` guards the node of a
-one-node rule inline, the same way. ``iterate`` also guards f(x0) and the
-residuals inline, where NaN means "go on". It keeps its counts in locals,
-each incremented before its call, and builds ``EvalCounters`` once, after
-the loop: the reused residuals go to ``n_f`` and the one residual that no
-step reuses to ``n_diag``.
+one-node rule inline, the same way, and f(x0) and the residuals, where NaN
+means "go on". It keeps its counts in locals, each incremented before its
+call, and builds ``EvalCounters`` once, after the loop: reused residuals go
+to ``n_f``, the one residual that no step reuses to ``n_diag``.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ from .core import (
     Status,
     StopCriteria,
     Trace,
-    as_index,
+    as_count,
+    evaluate_df,
     evaluate_f,
 )
 from .quadrature import midpoint_fractions, node_sum
@@ -75,22 +78,22 @@ _AVERAGING, _OZ, _KLW = "averaging", "oz", "klw"
 
 _FS_FRACTIONS = {FsVariant.AS_PRINTED: (2.0,), FsVariant.STANDARD_MIDPOINT: (0.5,)}
 
-# tag -> MethodId -> ((family, node fractions, endpoint flag),
-#                     f plus f' evaluations per step, label)
+# tag -> (haar_points, fs_variant) -> ((family, node fractions, endpoint flag),
+#                                      f plus f' evaluations per step, label)
 _RULES = {
-    "newton": lambda m: ((_AVERAGING, (), True), 2, "newton"),
-    "wf": lambda m: ((_AVERAGING, (1.0,), True), 3, "wf"),
-    "fs": lambda m: (
-        (_AVERAGING, _FS_FRACTIONS[m.fs_variant], False),
+    "newton": lambda p, v: ((_AVERAGING, (), True), 2, "newton"),
+    "wf": lambda p, v: ((_AVERAGING, (1.0,), True), 3, "wf"),
+    "fs": lambda p, v: (
+        (_AVERAGING, _FS_FRACTIONS[v], False),
         3,
-        "fs" if m.fs_variant is FsVariant.AS_PRINTED else "fs(std)",
+        "fs" if v is FsVariant.AS_PRINTED else "fs(std)",
     ),
-    "oz": lambda m: ((_OZ, (), False), 3, "oz"),
-    "klw": lambda m: ((_KLW, (), False), 3, "klw"),
-    "new": lambda m: (
-        (_AVERAGING, midpoint_fractions(m.haar_points), False),
-        2 + m.haar_points,
-        "new" if m.haar_points == 2 else f"new[P={m.haar_points}]",
+    "oz": lambda p, v: ((_OZ, (), False), 3, "oz"),
+    "klw": lambda p, v: ((_KLW, (), False), 3, "klw"),
+    "new": lambda p, v: (
+        (_AVERAGING, midpoint_fractions(p), False),
+        2 + p,
+        "new" if p == 2 else f"new[P={p}]",
     ),
 }
 
@@ -113,11 +116,8 @@ class MethodId(FrozenRecord):
                  fs_variant: FsVariant | str = FsVariant.AS_PRINTED) -> None:
         if tag not in METHOD_TAGS:
             raise ValueError(f"unknown method tag {tag!r}; expected one of {METHOD_TAGS}")
-        if as_index(haar_points, "haar_points") < 1:
-            raise ValueError("haar_points must be >= 1")
-        self._store(tag, haar_points, FsVariant(fs_variant))
-        for name, value in zip(("family", "step_cost", "label"), _RULES[tag](self)):
-            object.__setattr__(self, name, value)
+        points, variant = as_count(haar_points, "haar_points"), FsVariant(fs_variant)
+        self._store(tag, points, variant, *_RULES[tag](points, variant))
 
 
 # every way a step can fail; caught only by ``iterate`` and ``_step``
@@ -125,37 +125,31 @@ _STEP_ERRORS = (DerivativeBreakdownError, TypeError, *MATH_ERRORS)
 
 
 def _step(spec: tuple, problem: Problem, x: float, counters: EvalCounters) -> float:
-    """One step of family spec ``spec`` from x, f(x) included: ``iterate``'s loop
-    body, counted in ``counters``. A failure or complex result is a breakdown."""
+    """One step of family spec ``spec`` from x, f(x) included, counted in
+    ``counters``: ``iterate``'s loop body on core's counted evaluations, with
+    Newton as averaging over no nodes. A failure or complex result is a breakdown."""
     family, fractions, endpoint = spec
-    f, df = problem.f, problem.df
-    n = len(fractions)
     try:
         fx = evaluate_f(problem, x, counters)
-        counters.n_df += 1
-        dfx = df(x)
+        dfx = evaluate_df(problem, x, counters)
         if dfx == 0.0 or not isfinite(dfx):
             raise DerivativeBreakdownError
+        d = fx / dfx
         if family is _AVERAGING:
-            if not n:  # Newton: f'(x) + 0.0 is f'(x)
-                x_new = x - fx / dfx
-            else:
-                counters.n_df += n
-                total = node_sum(df, x, -(fx / dfx), fractions)
-                if endpoint:
-                    total = dfx + total
-                if total == 0.0 or not isfinite(total):
-                    raise DerivativeBreakdownError
-                x_new = x - ((n + endpoint) * fx) / total
+            counters.n_df += len(fractions)
+            total = node_sum(problem.df, x, -d, fractions)
+            if endpoint:  # Newton: f'(x) + 0.0 is f'(x)
+                total = dfx + total
+            if total == 0.0 or not isfinite(total):
+                raise DerivativeBreakdownError
+            x_new = x - ((len(fractions) + endpoint) * fx) / total
         elif family is _OZ:
-            counters.n_df += 1
-            dz = df(x - fx / dfx)
+            dz = evaluate_df(problem, x - d, counters)
             if dz == 0.0 or not isfinite(dz):
                 raise DerivativeBreakdownError
             x_new = x - (fx / 2.0) * (1.0 / dfx + 1.0 / dz)
         else:  # klw
-            counters.n_f += 1
-            shifted = f(x + fx / dfx)
+            shifted = evaluate_f(problem, x + d, counters)
             if not isfinite(shifted):
                 raise DerivativeBreakdownError
             x_new = x - (shifted - fx) / dfx

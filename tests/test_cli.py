@@ -57,6 +57,8 @@ def test_solve_unknown_method_is_usage_error(capsys):
     [
         ["solve", "--tol", "-1"],
         ["solve", "--tol", "nan"],
+        ["solve", "--tol", "inf"],
+        ["solve", "--tol", "0"],
         ["solve", "--x0", "nan"],
         ["solve", "--x0", "inf"],
         ["solve", "--m", "0"],
@@ -233,6 +235,16 @@ def test_coc_constants_for_a_method_other_than_new_are_a_usage_error(capsys, met
     assert info.value.code == 1
     assert captured.out == ""
     assert "defined for method 'new' only" in captured.err
+
+
+@pytest.mark.parametrize("constant", [("--c2", "0.5"), ("--c3", "0.1")], ids=lambda c: c[0])
+def test_coc_one_constant_without_the_other_is_a_usage_error(capsys, constant):
+    with pytest.raises(SystemExit) as info:
+        main(["coc", "--function", "f6", "--method", "new", *constant])
+    captured = capsys.readouterr()
+    assert info.value.code == 1
+    assert captured.out == ""
+    assert "haarnewton coc: error: --c2/--c3: give both constants or neither" in captured.err
 
 
 # Run in a fresh interpreter: the modules only count when the import of

@@ -85,11 +85,21 @@ def test_overflowing_f_returns_non_finite_instead_of_raising():
         {"step_tol": math.nan},
         {"residual_tol": math.nan},
         {"escape_radius": math.nan},
+        {"step_tol": math.inf},
+        {"residual_tol": math.inf},
+        {"escape_radius": -math.inf},
     ],
 )
 def test_stop_criteria_validation(kwargs):
-    with pytest.raises(ValueError):
+    [(name, value)] = kwargs.items()
+    with pytest.raises(ValueError, match=f"^{name} must be ") as info:
         StopCriteria(**kwargs)
+    if name != "max_iter":  # the message names the value given
+        assert str(info.value).endswith(f", not {value!r}")
+
+
+def test_stop_criteria_takes_an_infinite_escape_radius_as_none():
+    assert StopCriteria(escape_radius=math.inf).escape_radius == math.inf
 
 
 @pytest.mark.parametrize("value", [2.5, 2.0, math.nan, math.inf, "3"])
@@ -101,6 +111,20 @@ def test_stop_criteria_rejects_non_integral_max_iter(value):
 def test_stop_criteria_keeps_its_message_for_max_iter_below_one():
     with pytest.raises(ValueError, match="^max_iter must be >= 1$"):
         StopCriteria(max_iter=0)
+
+
+class Four:
+    def __index__(self):
+        return 4
+
+
+def test_counts_are_stored_as_the_int_they_index_to():
+    assert StopCriteria(max_iter=Four()) == StopCriteria(max_iter=4)
+    assert type(StopCriteria(max_iter=True).max_iter) is int
+    method = MethodId("new", haar_points=Four())
+    assert repr(method) == repr(MethodId("new", 4))
+    assert (method.label, method.step_cost) == ("new[P=4]", 6)
+    assert MethodId("new", haar_points=True).label == "new[P=1]"
 
 
 def test_stop_criteria_defaults():

@@ -577,15 +577,16 @@ def _counting(problem):
 # starts where an f' node overflows part-way through the wavelet node sum
 # (f5/new and f5/new[P=8] respectively)
 ACCOUNTING_STARTS = {"f5": [-84.0229150436985, 273.7748203153746]}
-# math.sqrt raises left of 0 and f' divides by zero at 0: from these starts
-# the klw shifted f, an oz, wf and fs f', and a wavelet node raise
+# math.sqrt raises left of 0 and f' divides by zero at 0: from 0.25, 3 and 9
+# the klw shifted f, an oz, wf and fs f', and a wavelet node raise; at -1
+# f and f' raise, and at 0 f' divides by zero
 SQRT = Problem("sqrt-1", lambda x: math.sqrt(x) - 1.0, lambda x: 0.5 / math.sqrt(x))
 
 
 def _accounting_cases():
     for entry in builtin_suite():
         yield entry.problem, _iterate_starts(entry) + ACCOUNTING_STARTS.get(entry.problem.name, [])
-    yield SQRT, [0.25, 3.0, 9.0]
+    yield SQRT, [0.25, 3.0, 9.0, -1.0, 0.0]
 
 
 def test_counters_account_for_every_call():
