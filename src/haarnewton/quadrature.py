@@ -54,8 +54,8 @@ def haar_indefinite_integral(
     result is deterministic. A node where g raises a math-module error makes
     the result NaN (0.0 on an empty interval).
     """
-    width = b - a
-    total = node_sum(g, a, width, midpoint_fractions(points))
+    width, fractions = b - a, midpoint_fractions(points)
+    total = node_sum(g, a, width, fractions)
     if a == b:
         return 0.0
-    return (width / points) * total
+    return (width / len(fractions)) * total

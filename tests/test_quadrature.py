@@ -74,6 +74,16 @@ def test_non_integral_node_count_is_a_value_error(points):
         haar_indefinite_integral(lambda t: 1.0, 0.0, 1.0, points)
 
 
+def test_node_count_may_be_any_object_that_indexes_to_an_int():
+    class Four:
+        def __index__(self):
+            return 4
+
+    assert midpoint_fractions(Four()) == midpoint_fractions(4)
+    assert haar_indefinite_integral(math.exp, 0.0, 1.0, Four()) == haar_indefinite_integral(
+        math.exp, 0.0, 1.0, 4)
+
+
 @given(
     c0=st.floats(min_value=-10, max_value=10),
     c1=st.floats(min_value=-10, max_value=10),
