@@ -111,16 +111,10 @@ def convergence_report(
                              _constant_from(errors), theoretical, len(triples))
 
 
-def format_significant(x: float, digits: int = 15) -> str:
-    """Format with a fixed number of significant digits, keeping trailing zeros."""
-    if x == 0.0:
-        return "0.0"
-    if not math.isfinite(x):
-        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
-    exponent = math.floor(math.log10(abs(x)))
-    if -5 < exponent < digits:
-        return f"{x:.{max(digits - 1 - exponent, 0)}f}"
-    return f"{x:.{digits - 1}e}"
+def format_significant(x: float) -> str:
+    """Format with 15 significant digits, keeping trailing zeros: fixed point when
+    the rounded |x| is in [1e-4, 1e15), with no trailing ".", else exponent form."""
+    return "0.0" if x == 0.0 else f"{x:#.15g}".rstrip(".")
 
 
 DIVERGED_LABEL = "Diverse"  # the label used by the reference comparison table

@@ -109,10 +109,8 @@ CSV_HEADER = ",".join(TableRow._fields)
 def format_table(table: ComparisonTable, fmt: str = "text") -> str:
     """Render the grid as an aligned text table, csv, or json (deterministic)."""
     if fmt == "csv":
-        lines = [CSV_HEADER] + [
-            f"{r.function},{r.x0!r},{r.method},{r.status},{r.iterations},{r.nfe},{r.root}"
-            for r in table.rows
-        ]
+        # str of a float is its repr, so x0 round-trips
+        lines = [CSV_HEADER] + [",".join(map(str, r._values())) for r in table.rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
         import json  # only this format needs it; keeps it out of CLI start-up

@@ -37,11 +37,19 @@ def _count(text: str) -> int:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}") from None
 
 
+def _tol(text: str) -> float:
+    """The argparse type of --tol: a number that ``StopCriteria`` accepts as a tolerance."""
+    try:
+        return StopCriteria(step_tol=float(text)).step_tol
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, not {text!r}") from None
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--m", type=_count, default=1, help="resolution multiplier M; node count is 2M")
     sub.add_argument("--points", type=_count, default=None, help="node count override (P >= 1)")
     sub.add_argument("--x0", type=float, default=None, help="starting point override")
-    sub.add_argument("--tol", type=float, default=1e-15, help="step and residual tolerance")
+    sub.add_argument("--tol", type=_tol, default=1e-15, help="step and residual tolerance")
     sub.add_argument("--max-iter", type=_count, default=100)
     sub.add_argument(
         "--fs-variant",
@@ -83,14 +91,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _points(args: argparse.Namespace) -> int:
-    if args.points is not None:
-        return args.points
-    return 2 * args.m
-
-
 def _method(tag: str, args: argparse.Namespace) -> MethodId:
-    return MethodId(tag, _points(args), args.fs_variant)
+    return MethodId(tag, args.points or 2 * args.m, args.fs_variant)
 
 
 def _criteria(args: argparse.Namespace) -> StopCriteria:
@@ -109,11 +111,11 @@ def _run(args: argparse.Namespace):
     entry = bench.suite_entry(args.function)
     x0 = entry.x0 if args.x0 is None else args.x0
     method = _method(args.method, args)
-    return entry, iterate(method, entry.problem, x0, _criteria(args))
+    return entry, method, iterate(method, entry.problem, x0, _criteria(args))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    entry, outcome = _run(args)
+    entry, _, outcome = _run(args)
     lines = [
         f"function:   {entry.problem.name}",
         f"method:     {args.method}",
@@ -151,13 +153,13 @@ def cmd_coc(args: argparse.Namespace) -> int:
         raise ValueError("--c2/--c3: the theoretical constant is defined for method 'new' only")
     if (args.c2 is None) != (args.c3 is None):
         raise ValueError("--c2/--c3: give both constants or neither")
-    entry, outcome = _run(args)
+    entry, method, outcome = _run(args)
     report = analysis.convergence_report(
         outcome.trace,
         outcome.root,
         c2=args.c2,
         c3=args.c3,
-        n_points=_points(args),
+        n_points=method.haar_points,
     )
     lines = [
         f"function:             {entry.problem.name}",

@@ -19,13 +19,13 @@ x0 is an exact root).
 ``iterate`` runs every method in one loop with the step inlined by the
 family spec of ``MethodId.family``: averaging (node fractions and an
 endpoint flag), oz or klw. All three share the prefix that counts,
-evaluates and checks f'(x). Two forks pay for themselves there: Newton
-skips the empty node sum, and a one-node rule evaluates its node inline;
-its sum then lacks node_sum's leading 0.0, which only changes the sign of a
-zero sum, a breakdown either way. ``_step``, which the public ``*_step``
-functions run on a table spec, is the same step without the forks, on
-``core.evaluate_f``/``evaluate_df`` and ``node_sum``; so every formula
-exists twice, and a parity test pins the copies together.
+evaluates and checks f'(x) and computes d once. Two forks pay for themselves
+there: Newton skips the empty node sum, and a one-node rule evaluates its
+node inline; its sum then lacks node_sum's leading 0.0, which only changes
+the sign of a zero sum, a breakdown either way. ``_step``, which the public
+``*_step`` functions run on a table spec, is the same step, d included,
+without the forks, on ``core.evaluate_f``/``evaluate_df`` and ``node_sum``;
+so every formula exists twice, and a parity test pins the copies together.
 
 Failures are decided in one place. The loop calls f and f' directly, counts
 before each call and raises: a zero or non-finite divisor is a
@@ -238,23 +238,24 @@ def iterate(
 
     for _ in range(max_iter):
         try:
-            # the body of ``_step``, inlined; each count precedes its call
+            # ``_step``'s formulas on the raw f and f'; each count precedes its call
             n_df += 1
             dfx = df(x)
             if dfx == 0.0 or not isfinite(dfx):
                 raise DerivativeBreakdownError
+            d = fx / dfx
             if family is _AVERAGING:
                 if not n:  # Newton: f'(x) + 0.0 is f'(x)
-                    x_new = x - fx / dfx
+                    x_new = x - d
                 else:
                     n_df += n
                     if n == 1:  # node_sum's guard on its one node
                         try:
-                            total = df(x + -(fx / dfx) * c)
+                            total = df(x + -d * c)
                         except MATH_ERRORS:
                             total = nan
                     else:
-                        total = node_sum(df, x, -(fx / dfx), fractions)
+                        total = node_sum(df, x, -d, fractions)
                     if endpoint:
                         total = dfx + total
                     if total == 0.0 or not isfinite(total):
@@ -262,13 +263,13 @@ def iterate(
                     x_new = x - (weight * fx) / total
             elif family is _OZ:
                 n_df += 1
-                dz = df(x - fx / dfx)
+                dz = df(x - d)
                 if dz == 0.0 or not isfinite(dz):
                     raise DerivativeBreakdownError
                 x_new = x - (fx / 2.0) * (1.0 / dfx + 1.0 / dz)
             else:  # klw
                 n_f += 1
-                shifted = f(x + fx / dfx)
+                shifted = f(x + d)
                 if not isfinite(shifted):
                     raise DerivativeBreakdownError
                 x_new = x - (shifted - fx) / dfx

@@ -235,7 +235,22 @@ def test_classify_non_converged_labels():
         (1.2926957193733983, "1.29269571937340"),
         (math.nan, "nan"),
         (math.inf, "inf"),
+        # the 15-digit rounding carries into the next power of ten
+        (0.9999999999999999, "1.00000000000000"),
+        (0.09999999999999996, "0.100000000000000"),
+        (9.99999999999999e-05, "9.99999999999999e-05"),
     ],
 )
 def test_format_significant(value, text):
     assert format_significant(value) == text
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+@example(0.9999999999999999)
+@example(0.09999999999999996)
+@example(9.99999999999999e-05)
+def test_format_significant_is_the_15_digit_rounding(x):
+    text = format_significant(x)
+    assert float(text) == float(f"{x:.14e}")
+    mantissa = text.lstrip("-").split("e")[0].replace(".", "").lstrip("0")
+    assert len(mantissa) == 15

@@ -84,9 +84,10 @@ def test_bad_tolerance_is_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("option", ["--m", "--points", "--max-iter"])
+@pytest.mark.parametrize("option", ["--m", "--points", "--max-iter", "--tol"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_count_option_below_one_names_the_option(capsys, option, value):
+    # --tol too: its type reports StopCriteria's check under the option's name
     with pytest.raises(SystemExit) as info:
         main(["solve", "--function", "f1", "--method", "new", option, value])
     assert info.value.code == 1
@@ -216,12 +217,18 @@ def test_coc_without_usable_errors_prints_nan_and_exits_2(capsys, function, meth
     assert "usable triples:       0" in out
 
 
-def test_coc_reports_theoretical_constant_when_given(capsys):
+@pytest.mark.parametrize(
+    "count, constant",
+    [((), "0.24375"), (("--m", "2"), "0.248438"), (("--points", "4"), "0.248438")],
+    ids=["P=2", "m=2", "points=4"],
+)
+def test_coc_reports_theoretical_constant_when_given(capsys, count, constant):
+    # c2^2 - c3/(4P^2) with the P of the method that ran
     code, out = run_cli(
         capsys, "coc", "--function", "f6", "--method", "new",
-        "--c2", "0.5", "--c3", "0.1",
+        "--c2", "0.5", "--c3", "0.1", *count,
     )
-    assert "theoretical constant" in out
+    assert f"theoretical constant: {constant}\n" in out
 
 
 @pytest.mark.parametrize("method", ["newton", "wf", "fs", "oz", "klw"])
