@@ -29,24 +29,33 @@ class ConvergenceReport(FrozenRecord):
         _setattr(self, "usable_triples", usable_triples)
 
 
-def _errors(trace: Trace, root: float) -> list[float]:
+def _finite(root: float) -> float:
     if not math.isfinite(root):
         raise ValueError("root must be finite")
-    return [x - root for x in trace.iterates]
+    return root
 
 
-def _usable_triples(errors: list[float]) -> list[tuple[float, float, float]]:
-    """Every window of three consecutive errors that all lie inside the COC window."""
-    ok = [COC_ERROR_MIN < abs(e) < COC_ERROR_MAX for e in errors]
-    return [
-        (errors[i - 1], errors[i], errors[i + 1])
-        for i in range(1, len(errors) - 1)
-        if ok[i - 1] and ok[i] and ok[i + 1]
-    ]
+def _diagnostics(trace: Trace, root: float) -> tuple[float, float, int]:
+    """(COC, empirical constant, usable triples) from one walk back over the errors."""
+    rho = constant = e1 = e2 = math.nan  # e1, e2: |e| one and two iterates later
+    triples = run = 0  # a run of L errors inside the COC window holds L - 2 triples
+    for x in reversed(trace.iterates):
+        e0 = abs(x - root)
+        run = run + 1 if COC_ERROR_MIN < e0 < COC_ERROR_MAX else 0
+        if run > 2:
+            triples += 1
+            if math.isnan(rho) and (denom := math.log(e1 / e0)) != 0.0:
+                rho = math.log(e2 / e1) / denom
+        if (math.isnan(constant) and CONSTANT_ERROR_MIN < e0 <= CONSTANT_ERROR_MAX
+                and e1 > CONSTANT_NEXT_MIN):
+            constant = e1 / e0**3
+        e1, e2 = e0, e1
+    return rho, constant, triples
 
 
 def coc(trace: Trace, root: float) -> float:
-    """Computational order of convergence from the last clean iterate triple.
+    """Computational order of convergence from the last usable triple whose
+    ln|e_n/e_{n-1}| is nonzero.
 
     Uses rho = ln|e_{n+1}/e_n| / ln|e_n/e_{n-1}| with e_n measured against
     ``root``. Returns NaN when no triple has all three errors inside the
@@ -54,15 +63,7 @@ def coc(trace: Trace, root: float) -> float:
     """
     if len(trace.iterates) < 4:
         raise ValueError("need at least 4 iterates to estimate an order")
-    return _coc_from(_usable_triples(_errors(trace, root)))
-
-
-def _coc_from(triples: list[tuple[float, float, float]]) -> float:
-    for e0, e1, e2 in reversed(triples):
-        denom = math.log(abs(e1 / e0))
-        if denom != 0.0:
-            return math.log(abs(e2 / e1)) / denom
-    return math.nan
+    return _diagnostics(trace, _finite(root))[0]
 
 
 def theoretical_error_constant(c2: float, c3: float, n_points: int) -> float:
@@ -74,20 +75,12 @@ def theoretical_error_constant(c2: float, c3: float, n_points: int) -> float:
 def empirical_error_constant(trace: Trace, root: float) -> float:
     """Observed |e_{n+1}| / |e_n|^3 from the last usable error pair.
 
-    Only pairs with e_n inside [1e-10, 1e-2] and e_{n+1} above roundoff
+    Only pairs with e_n inside (1e-10, 1e-2] and e_{n+1} above roundoff
     qualify; returns NaN when the trace has no such pair.
     """
     if len(trace.iterates) < 2:
         raise ValueError("need at least 2 iterates")
-    return _constant_from(_errors(trace, root))
-
-
-def _constant_from(errors: list[float]) -> float:
-    for i in reversed(range(len(errors) - 1)):
-        e_n, e_next = abs(errors[i]), abs(errors[i + 1])
-        if CONSTANT_ERROR_MIN < e_n <= CONSTANT_ERROR_MAX and e_next > CONSTANT_NEXT_MIN:
-            return e_next / e_n**3
-    return math.nan
+    return _diagnostics(trace, _finite(root))[1]
 
 
 def convergence_report(
@@ -99,16 +92,15 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Bundle the diagnostics; the theoretical constant needs analytic c2, c3.
 
-    The errors and their usable triples are computed once and shared. A
+    All three diagnostics come from one backward pass over the trace. A
     trace too short for a diagnostic, or a non-finite root, gives NaN there.
     """
     theoretical = math.nan
     if c2 is not None and c3 is not None:
         theoretical = theoretical_error_constant(c2, c3, n_points)
-    errors = _errors(trace, root) if math.isfinite(root) else []
-    triples = _usable_triples(errors)
-    return ConvergenceReport(_coc_from(triples) if len(errors) >= 4 else math.nan,
-                             _constant_from(errors), theoretical, len(triples))
+    rho, constant, triples = _diagnostics(trace, root)
+    return ConvergenceReport(rho if len(trace.iterates) >= 4 else math.nan,
+                             constant, theoretical, triples)
 
 
 def format_significant(x: float) -> str:

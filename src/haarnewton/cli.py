@@ -75,7 +75,8 @@ def build_parser() -> _Parser:
     compare.add_argument("--functions", default=",".join(FUNCTION_NAMES),
                          help="comma-separated suite function names")
     compare.add_argument("--methods", default="wf,fs,oz,klw,new",
-                         help="comma-separated method labels")
+                         help=f"comma-separated method tags, from {', '.join(METHOD_TAGS)}; "
+                         "--fs-variant sets the fs variant and --points (or --m) the node count")
     compare.add_argument("--format", choices=bench.FORMATS, default="text")
     _add_common(compare)
     compare.set_defaults(handler=cmd_compare, parser=compare)

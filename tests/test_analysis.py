@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from haarnewton.analysis import (
     COC_ERROR_MAX,
     COC_ERROR_MIN,
+    CONSTANT_ERROR_MAX,
+    CONSTANT_ERROR_MIN,
+    CONSTANT_NEXT_MIN,
     ConvergenceReport,
-    _coc_from,
-    _constant_from,
-    _usable_triples,
     classify,
     coc,
     convergence_report,
@@ -147,8 +147,22 @@ def test_convergence_report_of_degenerate_trace_is_nan(iterates, root):
     assert report.error_constant_theoretical == theoretical_error_constant(0.5, 0.1, 2)
 
 
-# Reference: the windowed triple search as first written, one slice and one
-# all() per window, and the report built from it by keyword.
+def test_diagnostics_check_the_length_before_the_root():
+    for diagnostic, least in ((coc, 4), (empirical_error_constant, 2)):
+        short = Trace(iterates=[1.0] * (least - 1), residuals=[0.0] * (least - 1))
+        with pytest.raises(ValueError, match="need at least"):
+            diagnostic(short, math.nan)
+        enough = Trace(iterates=[1.0] * least, residuals=[0.0] * least)
+        for root in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="root must be finite"):
+                diagnostic(enough, root)
+
+
+# Reference: the diagnostics as first written, in separate passes over the
+# errors: the windowed triple search with one slice and one all() per window,
+# the COC from the last of those triples with a nonzero denominator, the
+# constant from the last pair inside the constant window, and the report built
+# from them by keyword. The library computes all three in one backward pass.
 
 
 def ref_usable_triples(errors):
@@ -160,6 +174,22 @@ def ref_usable_triples(errors):
     return triples
 
 
+def ref_coc_from(triples):
+    for e0, e1, e2 in reversed(triples):
+        denom = math.log(abs(e1 / e0))
+        if denom != 0.0:
+            return math.log(abs(e2 / e1)) / denom
+    return math.nan
+
+
+def ref_constant_from(errors):
+    for i in reversed(range(len(errors) - 1)):
+        e_n, e_next = abs(errors[i]), abs(errors[i + 1])
+        if CONSTANT_ERROR_MIN < e_n <= CONSTANT_ERROR_MAX and e_next > CONSTANT_NEXT_MIN:
+            return e_next / e_n**3
+    return math.nan
+
+
 def ref_convergence_report(trace, root, c2=None, c3=None, n_points=2):
     theoretical = math.nan
     if c2 is not None and c3 is not None:
@@ -167,11 +197,21 @@ def ref_convergence_report(trace, root, c2=None, c3=None, n_points=2):
     errors = [x - root for x in trace.iterates] if math.isfinite(root) else []
     triples = ref_usable_triples(errors)
     return ConvergenceReport(
-        coc=_coc_from(triples) if len(errors) >= 4 else math.nan,
-        error_constant_empirical=_constant_from(errors),
+        coc=ref_coc_from(triples) if len(errors) >= 4 else math.nan,
+        error_constant_empirical=ref_constant_from(errors),
         error_constant_theoretical=theoretical,
         usable_triples=len(triples),
     )
+
+
+def assert_diagnostics_match_reference(trace, root):
+    """``coc`` and ``empirical_error_constant`` against the reference, where
+    the trace is long enough for them; ``root`` is finite."""
+    errors = [x - root for x in trace.iterates]
+    if len(errors) >= 4:
+        assert repr(coc(trace, root)) == repr(ref_coc_from(ref_usable_triples(errors)))
+    if len(errors) >= 2:
+        assert repr(empirical_error_constant(trace, root)) == repr(ref_constant_from(errors))
 
 
 def _report_runs():
@@ -185,6 +225,10 @@ def _report_runs():
     capped = iterate(MethodId("new"), f1.problem, f1.x0, StopCriteria(max_iter=3))
     assert capped.status is Status.MAX_ITER
     yield capped, 2
+    # near the critical point of f1, where f' = 0: the run oscillates to the cap
+    long = iterate(MethodId("new", 128), f1.problem, -0.67)
+    assert long.status is Status.MAX_ITER and len(long.trace.iterates) == 101
+    yield long, 128
 
 
 def test_convergence_report_matches_windowed_reference_on_suite_runs():
@@ -194,6 +238,7 @@ def test_convergence_report_matches_windowed_reference_on_suite_runs():
             got = convergence_report(outcome.trace, outcome.root, **constants)
             want = ref_convergence_report(outcome.trace, outcome.root, **constants)
             assert repr(got) == repr(want), (outcome, constants)
+        assert_diagnostics_match_reference(outcome.trace, outcome.root)
         statuses.add(outcome.status)
     assert {Status.CONVERGED, Status.MAX_ITER} <= statuses
 
@@ -205,9 +250,9 @@ EDGE_ERRORS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-13, -1e-13, 1.0, -1.
 @example([1e-1, 1e-3, 1e-9, math.nan, 1e-2, 1e-4, 1e-12])
 @example([1.0, 1e-13, 0.5, 1e-2, 1e-6, -0.0, 1e-2, 1e-5, 1e-14])
 def test_usable_triples_and_report_match_windowed_reference(errors):
-    assert repr(_usable_triples(errors)) == repr(ref_usable_triples(errors))
     trace = Trace(iterates=errors, residuals=[0.0] * len(errors))  # root 0.0: e == x
     assert repr(convergence_report(trace, 0.0)) == repr(ref_convergence_report(trace, 0.0))
+    assert_diagnostics_match_reference(trace, 0.0)
 
 
 def outcome_with(status, root):

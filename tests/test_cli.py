@@ -136,6 +136,15 @@ def test_compare_fs_standard_variant(capsys):
     assert ",converged," in f4_line
 
 
+def test_compare_methods_takes_tags_not_printed_labels(capsys):
+    assert run_cli_expect_exit(capsys, "compare", "--methods", "fs(std),new") == 1
+    with pytest.raises(SystemExit):
+        main(["compare", "-h"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "method tags, from newton, wf, fs, oz, klw, new;" in help_text
+    assert "--fs-variant" in help_text and "--points" in help_text
+
+
 def test_compare_exit_zero_despite_divergent_cells(capsys):
     code, out = run_cli(capsys, "compare", "--functions", "f3", "--format", "csv")
     assert code == 0
