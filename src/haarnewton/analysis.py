@@ -36,7 +36,9 @@ def _finite(root: float) -> float:
 
 
 def _diagnostics(trace: Trace, root: float) -> tuple[float, float, int]:
-    """(COC, empirical constant, usable triples) from one walk back over the errors."""
+    """(COC, empirical constant, usable triples) from one walk back over the errors.
+
+    A non-finite root puts every error outside both windows: (NaN, NaN, 0)."""
     rho = constant = e1 = e2 = math.nan  # e1, e2: |e| one and two iterates later
     triples = run = 0  # a run of L errors inside the COC window holds L - 2 triples
     for x in reversed(trace.iterates):

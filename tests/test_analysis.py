@@ -226,9 +226,9 @@ def _report_runs():
     assert capped.status is Status.MAX_ITER
     yield capped, 2
     # near the critical point of f1, where f' = 0: the run oscillates to the cap
-    long = iterate(MethodId("new", 128), f1.problem, -0.67)
-    assert long.status is Status.MAX_ITER and len(long.trace.iterates) == 101
-    yield long, 128
+    oscillating = iterate(MethodId("new", 128), f1.problem, -0.67)
+    assert oscillating.status is Status.MAX_ITER and len(oscillating.trace.iterates) == 101
+    yield oscillating, 128
 
 
 def test_convergence_report_matches_windowed_reference_on_suite_runs():
