@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .core import FrozenRecord, Outcome, Status, Trace, _setattr, as_count
+from .core import _BREAKDOWN, _CONVERGED, FrozenRecord, Outcome, Trace, as_count
 
 # Windows keeping the diagnostics in the asymptotic regime: third-order
 # methods hit roundoff within a handful of steps, so pre-asymptotic and
@@ -23,10 +23,14 @@ class ConvergenceReport(FrozenRecord):
 
     def __init__(self, coc: float, error_constant_empirical: float,
                  error_constant_theoretical: float, usable_triples: int) -> None:
-        _setattr(self, "coc", coc)
-        _setattr(self, "error_constant_empirical", error_constant_empirical)
-        _setattr(self, "error_constant_theoretical", error_constant_theoretical)
-        _setattr(self, "usable_triples", usable_triples)
+        _set_coc(self, coc)
+        _set_empirical(self, error_constant_empirical)
+        _set_theoretical(self, error_constant_theoretical)
+        _set_triples(self, usable_triples)
+
+
+_set_coc, _set_empirical, _set_theoretical, _set_triples = (
+    ConvergenceReport.__dict__[name].__set__ for name in ConvergenceReport.__slots__)
 
 
 def _finite(root: float) -> float:
@@ -117,8 +121,8 @@ BREAKDOWN_LABEL = "Breakdown"
 
 def classify(outcome: Outcome) -> str:
     """Map an outcome to its comparison-table cell text."""
-    if outcome.status is Status.CONVERGED:
+    if outcome.status is _CONVERGED:
         return format_significant(outcome.root)
-    if outcome.status is Status.DERIVATIVE_BREAKDOWN:
+    if outcome.status is _BREAKDOWN:
         return BREAKDOWN_LABEL
     return DIVERGED_LABEL

@@ -173,7 +173,8 @@ def cmd_coc(args: argparse.Namespace) -> int:
     if args.c2 is not None:
         lines.append(f"theoretical constant: {report.error_constant_theoretical:.6g}")
     _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if math.isfinite(report.coc) else EXIT_NOT_CONVERGED
+    converged = outcome.status is Status.CONVERGED
+    return EXIT_OK if converged and math.isfinite(report.coc) else EXIT_NOT_CONVERGED
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -212,6 +212,14 @@ def test_coc_divergent_run_exits_2(capsys):
     assert code == 2
 
 
+def test_coc_run_stopped_by_the_cap_exits_2_despite_a_finite_order(capsys):
+    # oscillates near f1's critical point x ~ -0.6687; its coc is finite (1.70951)
+    code, out = run_cli(capsys, "coc", "--function", "f1", "--method", "new",
+                        "--points", "128", "--x0", "-0.67")
+    assert code == 2
+    assert "status:               max-iterations" in out
+
+
 @pytest.mark.parametrize(
     "function, method, x0",
     [

@@ -15,6 +15,7 @@ from haarnewton.core import (
     evaluate_df,
     evaluate_f,
 )
+from haarnewton.analysis import classify
 from haarnewton.bench import builtin_suite, suite_entry
 from haarnewton.methods import (
     METHOD_TAGS,
@@ -256,6 +257,30 @@ def test_iterate_atan_from_its_root_takes_no_step():
     outcome = iterate(MethodId("new"), suite_entry("f3").problem, 0.0)
     assert (outcome.status, outcome.root, outcome.iterations, outcome.nfe) == (
         Status.CONVERGED, 0.0, 0, 1)
+
+
+LINE = Problem("line", lambda x: x, lambda x: 1.0)
+EXIT_PATHS = {
+    "exact-root-at-x0": (LINE, 0.0, StopCriteria(), Status.CONVERGED),
+    "converged": (LINE, 1.0, StopCriteria(), Status.CONVERGED),
+    "diverged": (Problem("atan", math.atan, lambda x: 1.0 / (1.0 + x * x)), 2.0,
+                 StopCriteria(), Status.DIVERGED),
+    "max-iterations": (QUADRATIC, 10.0, StopCriteria(max_iter=1), Status.MAX_ITER),
+    "breakdown": (Problem("flat", lambda x: 1.0, lambda x: 0.0), 0.3, StopCriteria(),
+                  Status.DERIVATIVE_BREAKDOWN),
+}
+
+
+@pytest.mark.parametrize("path", EXIT_PATHS)
+def test_iterate_returns_the_status_members_themselves(path):
+    problem, x0, criteria, status = EXIT_PATHS[path]
+    assert iterate(MethodId("newton"), problem, x0, criteria).status is status
+
+
+@pytest.mark.parametrize("fn", [iterate, classify], ids=lambda fn: fn.__name__)
+def test_hot_paths_read_no_status_attribute(fn):
+    # a Status.X read cost 117 ns against 8 ns for a global on 3.11.7 (143 vs 25 on 3.10.13)
+    assert "Status" not in fn.__code__.co_names
 
 
 COMPLEX_CASES = [
