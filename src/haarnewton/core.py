@@ -63,15 +63,13 @@ class Record:
 
 class FrozenRecord(Record):
     """Immutable, hashable ``Record``: ``__init__`` stores each slot with
-    ``object.__setattr__``, a hot one through each slot's member-descriptor
-    ``__set__``, bound once after the class; assignment and deletion raise
-    ``AttributeError``."""
+    ``object.__setattr__``, or in a hot constructor with the slot descriptor's
+    ``__set__`` bound after the class; assignment and deletion raise ``AttributeError``."""
 
     __slots__ = ()
 
     def _store(self, *values: object) -> None:
-        """Store ``values`` in ``__slots__`` order; hot constructors store
-        through bound slot setters instead."""
+        """Store ``values`` in ``__slots__`` order; hot constructors use slot setters."""
         for name, value in zip(self.__slots__, values):
             _setattr(self, name, value)
 
