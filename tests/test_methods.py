@@ -263,8 +263,7 @@ LINE = Problem("line", lambda x: x, lambda x: 1.0)
 EXIT_PATHS = {
     "exact-root-at-x0": (LINE, 0.0, StopCriteria(), Status.CONVERGED),
     "converged": (LINE, 1.0, StopCriteria(), Status.CONVERGED),
-    "diverged": (Problem("atan", math.atan, lambda x: 1.0 / (1.0 + x * x)), 2.0,
-                 StopCriteria(), Status.DIVERGED),
+    "diverged": (suite_entry("f3").problem, 2.0, StopCriteria(), Status.DIVERGED),  # atan
     "max-iterations": (QUADRATIC, 10.0, StopCriteria(max_iter=1), Status.MAX_ITER),
     "breakdown": (Problem("flat", lambda x: 1.0, lambda x: 0.0), 0.3, StopCriteria(),
                   Status.DERIVATIVE_BREAKDOWN),
