@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .core import _BREAKDOWN, _CONVERGED, FrozenRecord, Outcome, Trace, as_count
+from .core import _BREAKDOWN, _CONVERGED, FrozenRecord, Outcome, Trace, _new, as_count
 
 # Windows keeping the diagnostics in the asymptotic regime: third-order
 # methods hit roundoff within a handful of steps, so pre-asymptotic and
@@ -105,8 +105,12 @@ def convergence_report(
     if c2 is not None and c3 is not None:
         theoretical = theoretical_error_constant(c2, c3, n_points)
     rho, constant, triples = _diagnostics(trace, root)
-    return ConvergenceReport(rho if len(trace.iterates) >= 4 else math.nan,
-                             constant, theoretical, triples)
+    report = _new(ConvergenceReport)  # filled through the slot setters, skipping __init__
+    _set_coc(report, rho if len(trace.iterates) >= 4 else math.nan)
+    _set_empirical(report, constant)
+    _set_theoretical(report, theoretical)
+    _set_triples(report, triples)
+    return report
 
 
 def format_significant(x: float) -> str:

@@ -116,10 +116,10 @@ def _run(args: argparse.Namespace):
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    entry, _, outcome = _run(args)
+    entry, method, outcome = _run(args)
     lines = [
         f"function:   {entry.problem.name}",
-        f"method:     {args.method}",
+        f"method:     {method.label}",
         f"status:     {outcome.status.value}",
         f"result:     {analysis.classify(outcome)}",
         f"iterations: {outcome.iterations}",
@@ -164,7 +164,7 @@ def cmd_coc(args: argparse.Namespace) -> int:
     )
     lines = [
         f"function:             {entry.problem.name}",
-        f"method:               {args.method}",
+        f"method:               {method.label}",
         f"status:               {outcome.status.value}",
         f"order (coc):          {report.coc:.6g}",
         f"usable triples:       {report.usable_triples}",

@@ -171,6 +171,30 @@ class Outcome(FrozenRecord):
 _set_status, _set_root, _set_iterations, _set_nfe, _set_trace = (
     Outcome.__dict__[name].__set__ for name in Outcome.__slots__)
 
+_new = object.__new__
+
+
+def _outcome(status: Status, root: float, iterations: int, iterates: list[float],
+             residuals: list[float], n_f: int, n_df: int, n_diag: int) -> Outcome:
+    """``Outcome(status, root, iterations, n_f + n_df, Trace(iterates, residuals,
+    EvalCounters(n_f, n_df, n_diag)))`` without running the three ``__init__``:
+    ``iterate``'s return path, where the constructors were the largest fixed cost."""
+    counters = _new(EvalCounters)
+    counters.n_f = n_f
+    counters.n_df = n_df
+    counters.n_diag = n_diag
+    trace = _new(Trace)
+    trace.iterates = iterates
+    trace.residuals = residuals
+    trace.counters = counters
+    outcome = _new(Outcome)
+    _set_status(outcome, status)
+    _set_root(outcome, root)
+    _set_iterations(outcome, iterations)
+    _set_nfe(outcome, n_f + n_df)
+    _set_trace(outcome, trace)
+    return outcome
+
 
 MATH_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
 

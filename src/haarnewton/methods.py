@@ -18,7 +18,9 @@ x0 is an exact root).
 
 ``iterate`` runs every method in one loop with the step inlined by the
 family spec of ``MethodId.family``: averaging (node fractions and an
-endpoint flag), oz or klw. All three share the prefix that counts,
+endpoint flag), oz or klw, with the loop's constants computed once per
+``MethodId`` by ``_spec``: the node count, the step's float weight and a
+one-node rule's node. All three families share the prefix that counts,
 evaluates and checks f'(x) and computes d once. Two forks pay for themselves
 there: Newton skips the empty node sum, and a one-node rule evaluates its
 node inline; its sum then lacks node_sum's leading 0.0, which only changes
@@ -37,8 +39,9 @@ and a complex result raise ``DerivativeBreakdownError``.
 ``quadrature.node_sum`` guards each node; ``iterate`` guards the node of a
 one-node rule inline, the same way, and f(x0) and the residuals, where NaN
 means "go on". It keeps its counts in locals, each incremented before its
-call, and builds ``EvalCounters`` once, after the loop: reused residuals go
-to ``n_f``, the one residual that no step reuses to ``n_diag``. It reads
+call, and builds its result once, after the loop, through ``core._outcome``,
+which fills the three records without running their constructors: reused
+residuals go to ``n_f``, the one residual that no step reuses to ``n_diag``. It reads
 the ``Status`` members only as core's module constants (``_CONVERGED``, ...),
 never as ``Status`` attributes: on Python 3.10 and 3.11 such a read costs
 over 100 ns, ten times a global's, and every run would make three.
@@ -61,7 +64,7 @@ from .core import (
     Outcome,
     Problem,
     StopCriteria,
-    Trace,
+    _outcome,
     as_count,
     evaluate_df,
     evaluate_f,
@@ -84,20 +87,29 @@ _AVERAGING, _OZ, _KLW = "averaging", "oz", "klw"
 
 _FS_FRACTIONS = {FsVariant.AS_PRINTED: (2.0,), FsVariant.STANDARD_MIDPOINT: (0.5,)}
 
-# tag -> (haar_points, fs_variant) -> ((family, node fractions, endpoint flag),
-#                                      f plus f' evaluations per step, label)
+
+def _spec(family: str, fractions: tuple = (), endpoint: bool = False) -> tuple:
+    """The family spec ``(family, fractions, endpoint, n, weight, node)``: the
+    node count, the float weight n + endpoint of the averaging step (a float
+    ``weight * fx`` has the int product's bits and specialises on 3.11) and the
+    one node of a one-node rule, else None; all of ``iterate``'s loop constants."""
+    n = len(fractions)
+    return family, fractions, endpoint, n, float(n + endpoint), fractions[0] if n == 1 else None
+
+
+# tag -> (haar_points, fs_variant) -> (family spec, f plus f' evaluations per step, label)
 _RULES = {
-    "newton": lambda p, v: ((_AVERAGING, (), True), 2, "newton"),
-    "wf": lambda p, v: ((_AVERAGING, (1.0,), True), 3, "wf"),
+    "newton": lambda p, v: (_spec(_AVERAGING, (), True), 2, "newton"),
+    "wf": lambda p, v: (_spec(_AVERAGING, (1.0,), True), 3, "wf"),
     "fs": lambda p, v: (
-        (_AVERAGING, _FS_FRACTIONS[v], False),
+        _spec(_AVERAGING, _FS_FRACTIONS[v]),
         3,
         "fs" if v is FsVariant.AS_PRINTED else "fs(std)",
     ),
-    "oz": lambda p, v: ((_OZ, (), False), 3, "oz"),
-    "klw": lambda p, v: ((_KLW, (), False), 3, "klw"),
+    "oz": lambda p, v: (_spec(_OZ), 3, "oz"),
+    "klw": lambda p, v: (_spec(_KLW), 3, "klw"),
     "new": lambda p, v: (
-        (_AVERAGING, midpoint_fractions(p), False),
+        _spec(_AVERAGING, midpoint_fractions(p)),
         2 + p,
         "new" if p == 2 else f"new[P={p}]",
     ),
@@ -134,7 +146,7 @@ def _step(spec: tuple, problem: Problem, x: float, counters: EvalCounters) -> fl
     """One step of family spec ``spec`` from x, f(x) included, counted in
     ``counters``: ``iterate``'s loop body on core's counted evaluations, with
     Newton as averaging over no nodes. A failure or complex result is a breakdown."""
-    family, fractions, endpoint = spec
+    family, fractions, endpoint, n, weight, _ = spec
     try:
         fx = evaluate_f(problem, x, counters)
         dfx = evaluate_df(problem, x, counters)
@@ -142,13 +154,13 @@ def _step(spec: tuple, problem: Problem, x: float, counters: EvalCounters) -> fl
             raise DerivativeBreakdownError
         d = fx / dfx
         if family is _AVERAGING:
-            counters.n_df += len(fractions)
+            counters.n_df += n
             total = node_sum(problem.df, x, -d, fractions)
             if endpoint:  # Newton: f'(x) + 0.0 is f'(x)
                 total = dfx + total
             if total == 0.0 or not isfinite(total):
                 raise DerivativeBreakdownError
-            x_new = x - ((len(fractions) + endpoint) * fx) / total
+            x_new = x - (weight * fx) / total
         elif family is _OZ:
             dz = evaluate_df(problem, x - d, counters)
             if dz == 0.0 or not isfinite(dz):
@@ -203,7 +215,7 @@ def haar_newton_step(
     problem: Problem, x: float, counters: EvalCounters, points: int = 2
 ) -> float:
     """Wavelet-quadrature modified Newton step with P nodes. Cost: 1 f, 1+P f'."""
-    return _step((_AVERAGING, midpoint_fractions(points), False), problem, x, counters)
+    return _step(_spec(_AVERAGING, midpoint_fractions(points)), problem, x, counters)
 
 
 def iterate(
@@ -225,9 +237,7 @@ def iterate(
         raise ValueError("x0 must be finite")
 
     f, df = problem.f, problem.df
-    family, fractions, endpoint = method.family
-    n = len(fractions)
-    weight, c = n + endpoint, fractions[0] if n == 1 else None
+    family, fractions, endpoint, n, weight, c = method.family
     step_tol, residual_tol = criteria.step_tol, criteria.residual_tol
     escape_radius = criteria.escape_radius
     n_f, n_df = 1, 0
@@ -304,5 +314,4 @@ def iterate(
     steps = len(iterates) - 1
     n_diag = 1 if steps and status is not _BREAKDOWN else 0
     n_f += steps - n_diag
-    return Outcome(status, x, steps, n_f + n_df,
-                   Trace(iterates, residuals, EvalCounters(n_f, n_df, n_diag)))
+    return _outcome(status, x, steps, iterates, residuals, n_f, n_df, n_diag)
