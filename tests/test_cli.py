@@ -184,6 +184,55 @@ def test_compare_grid_matches_golden_bytes(capsys, variant):
         assert out.encode() == (GOLDEN / f"grid_{variant}.{ext}").read_bytes(), fmt
 
 
+# The five README commands, run as ``python -m haarnewton`` processes, with the
+# exit code of each; stdout was generated with
+#   python -m haarnewton ARGS > tests/golden/readme_NAME.txt
+README_COMMANDS = {
+    "solve_f2_new": ("solve --function f2 --method new --m 1", 0),
+    "solve_f6_klw_trace": ("solve --function f6 --method klw --trace", 0),
+    "compare_csv": ("compare --format csv", 0),
+    "compare_f6_new_json": ("compare --functions f6 --methods new --format json", 0),
+    "coc_f6_new": ("coc --function f6 --method new --m 1", 0),
+}
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _child_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("name", README_COMMANDS)
+def test_readme_command_matches_golden_output(name):
+    args, code = README_COMMANDS[name]
+    readme = (ROOT / "README.md").read_text().splitlines()
+    listed = {line.partition("#")[0].split(maxsplit=1)[1].strip()
+              for line in readme if line.startswith("haarnewton ")}
+    assert listed == {args for args, _ in README_COMMANDS.values()}
+    done = subprocess.run(
+        [sys.executable, "-m", "haarnewton", *args.split()],
+        capture_output=True, env=_child_env(), timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (code, b"")
+    assert done.stdout == (GOLDEN / f"readme_{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["solve", "coc"])
+@pytest.mark.parametrize(
+    "options, label",
+    [(["--method", "fs", "--fs-variant", "standard-midpoint"], "fs(std)"),
+     (["--method", "new", "--points", "8"], "new[P=8]"),
+     (["--method", "new", "--m", "4"], "new[P=8]"),
+     (["--method", "fs"], "fs")],
+    ids=["fs-standard-midpoint", "new-points-8", "new-m-4", "fs-as-printed"],
+)
+def test_method_line_prints_the_label_of_the_method_run(capsys, command, options, label):
+    main([command, "--function", "f2", *options])
+    method_line = capsys.readouterr().out.splitlines()[1]
+    assert method_line.split() == ["method:", label]
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "grid.csv"
     code, out = run_cli(

@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 import random
+import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,9 +12,11 @@ from haarnewton.core import (
     MATH_ERRORS,
     DerivativeBreakdownError,
     EvalCounters,
+    Outcome,
     Problem,
     Status,
     StopCriteria,
+    Trace,
     evaluate_df,
     evaluate_f,
 )
@@ -282,6 +287,35 @@ def test_hot_paths_read_no_status_attribute(fn):
     assert "Status" not in fn.__code__.co_names
 
 
+@pytest.mark.parametrize("path", EXIT_PATHS)
+def test_iterate_result_is_the_one_the_public_constructors_build(path):
+    problem, x0, criteria, _ = EXIT_PATHS[path]
+    outcome = iterate(MethodId("newton"), problem, x0, criteria)
+    trace, counters = outcome.trace, outcome.trace.counters
+    built = Outcome(outcome.status, outcome.root, outcome.iterations,
+                    counters.n_f + counters.n_df,
+                    Trace(list(trace.iterates), list(trace.residuals),
+                          EvalCounters(counters.n_f, counters.n_df, counters.n_diag)))
+    assert outcome == built and repr(outcome) == repr(built)
+    assert (type(outcome), type(trace), type(counters)) == (Outcome, Trace, EvalCounters)
+    for copied in (copy.deepcopy(outcome), pickle.loads(pickle.dumps(outcome))):
+        assert copied == outcome and repr(copied) == repr(outcome)
+        assert copied.status is outcome.status
+
+    # each run gets its own lists and counters, and they stay mutable
+    again = iterate(MethodId("newton"), problem, x0, criteria)
+    trace.iterates.append(9.0)
+    trace.residuals.append(9.0)
+    counters.n_f += 1
+    counters.n_diag += 1
+    assert again == built and repr(again) == repr(built)
+
+
+def test_iterate_builds_its_result_without_the_record_constructors():
+    # the three __init__ calls were the largest fixed cost of a short run
+    assert not {"Outcome", "Trace", "EvalCounters"} & set(iterate.__code__.co_names)
+
+
 COMPLEX_CASES = [
     # f and f' are complex left of 0
     (Problem("x^1.5-2", lambda x: x**1.5 - 2.0, lambda x: 1.5 * x**0.5), -1.0),
@@ -507,6 +541,66 @@ def test_step_cost_and_label_for_every_configuration():
                 if tag == "fs" and variant is FsVariant.STANDARD_MIDPOINT:
                     label = "fs(std)"
                 assert (method.step_cost, method.label) == (cost, label)
+
+
+def test_family_spec_carries_the_loop_constants_for_every_configuration():
+    for tag in METHOD_TAGS:
+        for points in REFERENCE_POINTS:
+            for variant in FsVariant:
+                spec = MethodId(tag, haar_points=points, fs_variant=variant).family
+                _, fractions, endpoint, n, weight, node = spec
+                assert n == len(fractions)
+                assert type(weight) is float and weight == n + endpoint
+                if n == 1:
+                    assert node == fractions[0]
+                else:
+                    assert node is None
+
+
+def _bits(value):
+    """The exact value of a float, complex or mpf, NaN payloads and signed zeros included."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, complex):
+        return _bits(value.real) + _bits(value.imag)
+    return value._mpf_
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+
+
+# the averaging step multiplies f(x) by its float weight n + endpoint, where an
+# int weight gave the same bits; ``iterate`` must stay exact on complex and mpf values too
+@settings(deadline=None, derandomize=True)
+@given(st.integers(1, 129), _FLOATS, st.complex_numbers(), _FLOATS, st.integers(1, 10**40))
+@example(129, math.nan, complex(math.inf, -0.0), -0.0, 3)
+def test_float_weight_products_are_bit_identical_to_int_ones(w, x, z, m, k):
+    import mpmath
+
+    assert _bits(float(w) * x) == _bits(w * x)
+    assert _bits(float(w) * z) == _bits(w * z)
+    for dps in (15, 120):
+        with mpmath.workdps(dps):
+            v = mpmath.mpf(m) / k if math.isfinite(m) else mpmath.mpf(m)
+            assert _bits(float(w) * v) == _bits(w * v)
+
+
+MPF_METHODS = [MethodId("newton"), MethodId("wf"), MethodId("fs", fs_variant="standard-midpoint"),
+               MethodId("oz"), MethodId("klw"), MethodId("new"), MethodId("new", 8)]
+
+
+@pytest.mark.parametrize("method", MPF_METHODS, ids=lambda m: m.label)
+def test_iterate_runs_on_mpf_values(method):
+    import mpmath
+
+    with mpmath.workdps(60):
+        problem = Problem("x3-exp", lambda x: x**3 - mpmath.exp(-x),
+                          lambda x: 3 * x**2 + mpmath.exp(-x))
+        criteria = StopCriteria(step_tol=1e-50, residual_tol=1e-55)
+        outcome = iterate(method, problem, mpmath.mpf("0.9"), criteria)
+        root = mpmath.findroot(problem.f, mpmath.mpf("0.77"))
+        assert outcome.status is Status.CONVERGED
+        assert isinstance(outcome.root, mpmath.mpf) and abs(outcome.root - root) < 1e-45
 
 
 # Reference: the iterate loop written out longhand. Each step is one of the
