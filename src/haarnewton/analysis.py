@@ -23,10 +23,7 @@ class ConvergenceReport(FrozenRecord):
 
     def __init__(self, coc: float, error_constant_empirical: float,
                  error_constant_theoretical: float, usable_triples: int) -> None:
-        _set_coc(self, coc)
-        _set_empirical(self, error_constant_empirical)
-        _set_theoretical(self, error_constant_theoretical)
-        _set_triples(self, usable_triples)
+        self._store(coc, error_constant_empirical, error_constant_theoretical, usable_triples)
 
 
 _set_coc, _set_empirical, _set_theoretical, _set_triples = (

@@ -27,9 +27,6 @@ class DerivativeBreakdownError(Exception):
     """Raised by a step when a required derivative is zero or non-finite."""
 
 
-_setattr = object.__setattr__  # one lookup fewer per store in ``_store``
-
-
 def as_count(value: object, name: str) -> int:
     """``value`` as an int >= 1; anything else is a ``ValueError`` naming ``name``."""
     try:
@@ -62,16 +59,16 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """Immutable, hashable ``Record``: ``__init__`` stores each slot with
-    ``object.__setattr__``, or in a hot constructor with the slot descriptor's
-    ``__set__`` bound after the class; assignment and deletion raise ``AttributeError``."""
+    """Immutable, hashable ``Record``: ``__init__`` stores through ``_store``, and the
+    result builders (``_outcome``, ``analysis.convergence_report``) skip it with bound
+    slot setters; assignment and deletion raise ``AttributeError``."""
 
     __slots__ = ()
 
     def _store(self, *values: object) -> None:
-        """Store ``values`` in ``__slots__`` order; hot constructors use slot setters."""
+        """Store ``values`` in ``__slots__`` order: every constructor's one way in."""
         for name, value in zip(self.__slots__, values):
-            _setattr(self, name, value)
+            object.__setattr__(self, name, value)
 
     def __hash__(self) -> int:
         return hash(self._values())
@@ -161,11 +158,7 @@ class Outcome(FrozenRecord):
 
     def __init__(self, status: Status, root: float, iterations: int, nfe: int,
                  trace: Trace) -> None:
-        _set_status(self, status)
-        _set_root(self, root)
-        _set_iterations(self, iterations)
-        _set_nfe(self, nfe)
-        _set_trace(self, trace)
+        self._store(status, root, iterations, nfe, trace)
 
 
 _set_status, _set_root, _set_iterations, _set_nfe, _set_trace = (

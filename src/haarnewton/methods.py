@@ -34,8 +34,8 @@ before each call and raises: a zero or non-finite divisor is a
 ``DerivativeBreakdownError``, and math-module errors and the TypeError of a
 complex value propagate; ``iterate`` classifies them all as
 ``derivative-breakdown``. In ``_step`` a counted evaluation turns a
-math-module error into NaN, which the same checks reject, and every failure
-and a complex result raise ``DerivativeBreakdownError``.
+math-module error into NaN, which the same checks reject, and every failure,
+the TypeError of a complex result included, raises ``DerivativeBreakdownError``.
 ``quadrature.node_sum`` guards each node; ``iterate`` guards the node of a
 one-node rule inline, the same way, and f(x0) and the residuals, where NaN
 means "go on". It keeps its counts in locals, each incremented before its
@@ -172,10 +172,9 @@ def _step(spec: tuple, problem: Problem, x: float, counters: EvalCounters) -> fl
             if not isfinite(shifted):
                 raise DerivativeBreakdownError
             x_new = x - (shifted - fx) / dfx
+        isfinite(x_new)  # a complex x_new, from a complex f value, raises TypeError here
     except _STEP_ERRORS:
         raise DerivativeBreakdownError from None
-    if isinstance(x_new, complex):  # a complex f(x) over a real divisor
-        raise DerivativeBreakdownError
     return x_new
 
 

@@ -1,6 +1,8 @@
 """Shared test helpers."""
 
+from haarnewton.analysis import ConvergenceReport
 from haarnewton.bench import CSV_HEADER, ComparisonTable, TableRow
+from haarnewton.core import EvalCounters, Outcome, Trace
 
 
 def parse_csv(text: str) -> ComparisonTable:
@@ -15,3 +17,14 @@ def parse_csv(text: str) -> ComparisonTable:
             TableRow(function, float(x0), method, status, int(iterations), int(nfe), root)
         )
     return table
+
+
+def forbid_result_constructors(monkeypatch) -> None:
+    """Make ``Outcome``, ``Trace``, ``EvalCounters`` and ``ConvergenceReport``
+    raise on ``__init__``, so that only a builder that skips it can make one."""
+
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__}.__init__ ran")
+
+    for cls in (Outcome, Trace, EvalCounters, ConvergenceReport):
+        monkeypatch.setattr(cls, "__init__", forbidden)

@@ -23,6 +23,8 @@ from haarnewton.core import Outcome, Problem, Status, StopCriteria, Trace
 from haarnewton.bench import builtin_suite, suite_entry
 from haarnewton.methods import MethodId, iterate
 
+from helpers import forbid_result_constructors
+
 
 def trace_from_errors(errors, root=0.0):
     # root at zero keeps the synthetic errors exactly representable
@@ -241,6 +243,18 @@ def test_convergence_report_matches_windowed_reference_on_suite_runs():
         assert_diagnostics_match_reference(outcome.trace, outcome.root)
         statuses.add(outcome.status)
     assert {Status.CONVERGED, Status.MAX_ITER} <= statuses
+
+
+def test_convergence_report_runs_no_record_constructor(monkeypatch):
+    # with every __init__ raising, only the builders can have filled these records
+    f4 = suite_entry("f4")
+    forbid_result_constructors(monkeypatch)
+    outcome = iterate(MethodId("new"), f4.problem, f4.x0)
+    got = convergence_report(outcome.trace, outcome.root, c2=0.5, c3=0.1)
+    monkeypatch.undo()
+    want = ref_convergence_report(outcome.trace, outcome.root, c2=0.5, c3=0.1)
+    assert outcome.status is Status.CONVERGED and all(map(math.isfinite, got._values()))
+    assert got == want and repr(got) == repr(want) and type(got) is ConvergenceReport
 
 
 EDGE_ERRORS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-13, -1e-13, 1.0, -1.0, 1e-3, 2e-9]

@@ -35,6 +35,8 @@ from haarnewton.methods import (
     wf_step,
 )
 
+from helpers import forbid_result_constructors
+
 QUADRATIC = Problem("x2-4", lambda x: x * x - 4.0, lambda x: 2.0 * x)
 
 
@@ -288,9 +290,11 @@ def test_hot_paths_read_no_status_attribute(fn):
 
 
 @pytest.mark.parametrize("path", EXIT_PATHS)
-def test_iterate_result_is_the_one_the_public_constructors_build(path):
+def test_iterate_result_is_the_one_the_public_constructors_build(path, monkeypatch):
     problem, x0, criteria, _ = EXIT_PATHS[path]
+    forbid_result_constructors(monkeypatch)  # only the builder can fill these records
     outcome = iterate(MethodId("newton"), problem, x0, criteria)
+    monkeypatch.undo()
     trace, counters = outcome.trace, outcome.trace.counters
     built = Outcome(outcome.status, outcome.root, outcome.iterations,
                     counters.n_f + counters.n_df,
@@ -340,11 +344,19 @@ def test_complex_values_are_a_breakdown_not_an_exception(tag, problem, x0):
 PUBLIC_STEPS = [newton_step, wf_step, fs_step, oz_step, klw_step, haar_newton_step]
 
 
+def _mpc_case():
+    """f an ``mpmath.mpc``, f' a real ``mpf``: the step's result is an mpc, not a ``complex``."""
+    import mpmath
+
+    return Problem("mpc", lambda x: mpmath.mpc(x, 1) - 2, lambda x: mpmath.mpf(1)), mpmath.mpf(3)
+
+
+# a Python complex and an mpmath.mpc result; ``isinstance(x, complex)`` misses the mpc
 @pytest.mark.parametrize("step", PUBLIC_STEPS, ids=lambda s: s.__name__)
 def test_public_step_with_complex_result_raises_breakdown(step):
-    problem, x0 = COMPLEX_CASES[2]
-    with pytest.raises(DerivativeBreakdownError):
-        step(problem, x0, EvalCounters())
+    for problem, x0 in (COMPLEX_CASES[2], _mpc_case()):
+        with pytest.raises(DerivativeBreakdownError):
+            step(problem, x0, EvalCounters())
 
 
 # klw is left out: its shifted f(x + f/f') is NaN too, which is a breakdown
@@ -737,7 +749,7 @@ PUBLIC_FOR = {(ref, extra): step for step, ref, extra in STEP_PAIRS}
 
 def _parity_cases():
     yield from _accounting_cases()
-    for problem, x0 in COMPLEX_CASES:
+    for problem, x0 in [*COMPLEX_CASES, _mpc_case()]:
         yield problem, [x0]
 
 
