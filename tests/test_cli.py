@@ -5,8 +5,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from haarnewton import cli
+from haarnewton.bench import FORMATS
 from haarnewton.cli import main
+from haarnewton.methods import METHOD_TAGS
 
 
 def run_cli(capsys, *argv):
@@ -321,25 +326,112 @@ def test_coc_one_constant_without_the_other_is_a_usage_error(capsys, constant):
 
 
 # Run in a fresh interpreter: the modules only count when the import of
-# haarnewton.cli is what loads them, not the interpreter's own start-up.
+# haarnewton.cli, or a README command run through main, is what loads them,
+# not the interpreter's own start-up. The json command runs last, so that
+# json is checked before it.
 LEAN_IMPORT_CHECK = """
-import sys
+import contextlib, io, sys
 before = set(sys.modules)
 from haarnewton.cli import main
-loaded = {"dataclasses", "inspect", "json"} & (set(sys.modules) - before)
-assert not loaded, f"imported with haarnewton.cli: {sorted(loaded)}"
-sys.exit(main(["compare", "--functions", "f6", "--methods", "new", "--format", "json"]))
+
+def check(names, when):
+    loaded = set(names) & (set(sys.modules) - before)
+    assert not loaded, f"{sorted(loaded)} loaded {when}"
+
+PARSING = {"argparse", "gettext", "locale"}
+check(PARSING | {"dataclasses", "inspect", "json"}, "with haarnewton.cli")
+*commands, last = sys.argv[1:]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv.split()) == 0, argv
+    check(PARSING, f"by {argv}")
+check({"json"}, "before the json command")
+code = main(last.split())
+check(PARSING, f"by {last}")
+sys.exit(code)
 """
 
 
-def test_cli_import_leaves_out_dataclasses_inspect_and_json():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+def test_cli_and_readme_commands_leave_out_argparse_gettext_locale_and_json():
+    commands = [args for args, _ in README_COMMANDS.values()]
+    commands.sort(key=lambda args: "json" in args)
     done = subprocess.run(
-        [sys.executable, "-c", LEAN_IMPORT_CHECK],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-c", LEAN_IMPORT_CHECK, *commands],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
     )
     assert done.returncode == 0, done.stderr
     rows = json.loads(done.stdout)
     assert [(r["function"], r["method"]) for r in rows] == [("f6", "new")]
+
+
+def test_readme_commands_take_the_exact_parser():
+    for args, _ in README_COMMANDS.values():
+        assert cli._parse_exact(args.split()) is not None, args
+
+
+# ``python -m haarnewton ARGV`` with COLUMNS=80, run in an empty directory, for
+# argvs that argparse alone parses, helps with or reports: the exit code and
+# the stdout and stderr with each run of whitespace made one space (Python 3.13
+# wraps usage lines differently from 3.10-3.12). Generated before the exact
+# parser existed, by running each argv that way and writing the list of these
+# dicts with json.dumps(..., indent=1); identical then under Python 3.10,
+# 3.11, 3.12 and 3.13.
+ARGPARSE_PATHS = json.loads((GOLDEN / "argparse_paths.json").read_text())
+
+
+@pytest.mark.parametrize("case", ARGPARSE_PATHS, ids=lambda case: "_".join(case["argv"]) or "no-arguments")
+def test_argparse_path_matches_golden_output(tmp_path, case):
+    done = subprocess.run(
+        [sys.executable, "-m", "haarnewton", *case["argv"]],
+        capture_output=True, text=True, env=dict(_child_env(), COLUMNS="80"), cwd=tmp_path, timeout=60,
+    )
+    got = {"argv": case["argv"], "exit": done.returncode,
+           "stdout": " ".join(done.stdout.split()), "stderr": " ".join(done.stderr.split())}
+    assert got == case
+
+
+_FLAGS = sorted({flag for _, _, options in cli.COMMANDS.values() for flag in options})
+_NOT_EXACT = ["-h", "--help", "--", "--func", "--meth", "--fs", "--max", "--tr", "-x0"]
+_VALUES = [*cli.FUNCTION_NAMES, *METHOD_TAGS, "as-printed", "standard-midpoint", *FORMATS,
+           "f2,f6", "new,wf", "0", "3", "2.5", "-1.5", "-1e3", "nan", "inf", "", "abc"]
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand (or not), often its required options, then options, most
+    of them the subcommand's own with a value that fits, the others from any
+    subcommand, abbreviated, as ``--opt=value``, without a value, ``-h`` or
+    ``--``."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "sol", "-h"]))
+    options = cli.COMMANDS.get(command, (None, None, {}))[2]
+    argv = [command]
+    if draw(st.integers(0, 3)):
+        argv += ["--function", draw(st.sampled_from(cli.FUNCTION_NAMES)),
+                 "--method", draw(st.sampled_from(METHOD_TAGS))]
+    for _ in range(draw(st.integers(0, 3))):
+        own = options and draw(st.integers(0, 3))
+        flag = draw(st.sampled_from(list(options) if own else _FLAGS + _NOT_EXACT))
+        fitting = options.get(flag, {}).get("choices", ["3", "3", "0.5", "nan", "-1e3"]) if own else ()
+        value = draw(st.sampled_from(list(fitting) if fitting and draw(st.integers(0, 3)) else _VALUES))
+        form = "alone" if own and flag == "--trace" else draw(st.sampled_from(["pair"] * 6 + ["joined", "alone"]))
+        argv += {"pair": [flag, value], "joined": [f"{flag}={value}"], "alone": [flag]}[form]
+    return argv
+
+
+def _same(a, b):
+    return a == b or (a != a and b != b)  # NaN equals NaN here
+
+
+@settings(deadline=None, derandomize=True, max_examples=600)
+@given(_argvs())
+def test_exact_parser_agrees_with_argparse(argv):
+    args = cli._parse_exact(argv)
+    if args is None:
+        return  # argparse parses it alone
+    try:
+        expected = vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        raise AssertionError(f"argparse refuses {argv}, which the exact parser accepts") from None
+    got = vars(args)
+    assert got.keys() == expected.keys()
+    assert all(_same(got[key], expected[key]) for key in expected), (got, expected)
