@@ -3,11 +3,7 @@
 
 import math
 
-from haarnewton.analysis import (
-    coc,
-    empirical_error_constant,
-    theoretical_error_constant,
-)
+from haarnewton.analysis import convergence_report
 from haarnewton.bench import builtin_suite
 from haarnewton.core import Problem, Status
 from haarnewton.methods import MethodId, iterate
@@ -21,17 +17,16 @@ def main() -> None:
         if outcome.status is not Status.CONVERGED or len(outcome.trace.iterates) < 4:
             print(f"  {entry.problem.name}: {outcome.status.value}")
             continue
-        rho = coc(outcome.trace, outcome.root)
+        rho = convergence_report(outcome.trace, outcome.root).coc
         print(f"  {entry.problem.name}: IT={outcome.iterations}  rho={rho:.3f}")
 
     print()
     print("asymptotic error constant check on e^x - 1 (c2=1/2, c3=1/6):")
     problem = Problem("expm1", lambda x: math.exp(x) - 1.0, math.exp)
     outcome = iterate(method, problem, 0.05)
-    observed = empirical_error_constant(outcome.trace, outcome.root)
-    predicted = theoretical_error_constant(0.5, 1.0 / 6.0, 2)
-    print(f"  empirical:   {observed:.6f}")
-    print(f"  theoretical: {predicted:.6f}  (23/96)")
+    report = convergence_report(outcome.trace, outcome.root, c2=0.5, c3=1.0 / 6.0, n_points=2)
+    print(f"  empirical:   {report.error_constant_empirical:.6f}")
+    print(f"  theoretical: {report.error_constant_theoretical:.6f}  (23/96)")
 
 
 if __name__ == "__main__":

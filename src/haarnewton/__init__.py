@@ -5,9 +5,7 @@ diagnostics, and a benchmark comparison grid."""
 from .analysis import (
     ConvergenceReport,
     classify,
-    coc,
     convergence_report,
-    empirical_error_constant,
     format_significant,
     theoretical_error_constant,
 )

@@ -30,12 +30,6 @@ _set_coc, _set_empirical, _set_theoretical, _set_triples = (
     ConvergenceReport.__dict__[name].__set__ for name in ConvergenceReport.__slots__)
 
 
-def _finite(root: float) -> float:
-    if not math.isfinite(root):
-        raise ValueError("root must be finite")
-    return root
-
-
 def _diagnostics(trace: Trace, root: float) -> tuple[float, float, int]:
     """(COC, empirical constant, usable triples) from one walk back over the errors.
 
@@ -56,34 +50,10 @@ def _diagnostics(trace: Trace, root: float) -> tuple[float, float, int]:
     return rho, constant, triples
 
 
-def coc(trace: Trace, root: float) -> float:
-    """Computational order of convergence from the last usable triple whose
-    ln|e_n/e_{n-1}| is nonzero.
-
-    Uses rho = ln|e_{n+1}/e_n| / ln|e_n/e_{n-1}| with e_n measured against
-    ``root``. Returns NaN when no triple has all three errors inside the
-    usable window (roundoff-dominated or diverged runs).
-    """
-    if len(trace.iterates) < 4:
-        raise ValueError("need at least 4 iterates to estimate an order")
-    return _diagnostics(trace, _finite(root))[0]
-
-
 def theoretical_error_constant(c2: float, c3: float, n_points: int) -> float:
     """Leading cubic error coefficient c2^2 - c3/(4 N^2) for an N-node run."""
     n_points = as_count(n_points, "n_points")
     return c2 * c2 - c3 / (4.0 * n_points * n_points)
-
-
-def empirical_error_constant(trace: Trace, root: float) -> float:
-    """Observed |e_{n+1}| / |e_n|^3 from the last usable error pair.
-
-    Only pairs with e_n inside (1e-10, 1e-2] and e_{n+1} above roundoff
-    qualify; returns NaN when the trace has no such pair.
-    """
-    if len(trace.iterates) < 2:
-        raise ValueError("need at least 2 iterates")
-    return _diagnostics(trace, _finite(root))[1]
 
 
 def convergence_report(

@@ -245,6 +245,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         _parsers()[1][args.command].error(str(exc))
 
-
-if __name__ == "__main__":
-    sys.exit(main())

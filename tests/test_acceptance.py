@@ -19,8 +19,7 @@ import haarnewton
 from haarnewton.analysis import (
     COC_ERROR_MAX,
     COC_ERROR_MIN,
-    coc,
-    empirical_error_constant,
+    convergence_report,
     theoretical_error_constant,
 )
 from haarnewton.bench import builtin_suite, run_comparison, suite_entry
@@ -151,7 +150,7 @@ def test_criterion_4_cubic_order():
         usable = sum(1 for e in errors if COC_ERROR_MIN < abs(e) < COC_ERROR_MAX)
         if usable < 4:
             continue
-        rho = coc(outcome.trace, outcome.root)
+        rho = convergence_report(outcome.trace, outcome.root).coc
         checked.append(f"{entry.problem.name}: rho={rho:.3f}")
         if not 2.7 <= rho <= 3.3:
             failures.append(f"{entry.problem.name}: rho={rho:.3f}")
@@ -164,7 +163,7 @@ def test_criterion_4_cubic_order():
 def test_criterion_5_error_constant():
     problem = Problem("expm1", lambda x: math.exp(x) - 1.0, math.exp)
     outcome = iterate(NEW, problem, 0.05)
-    observed = empirical_error_constant(outcome.trace, outcome.root)
+    observed = convergence_report(outcome.trace, outcome.root).error_constant_empirical
     expected = theoretical_error_constant(0.5, 1.0 / 6.0, 2)
     rel = abs(observed - expected) / expected
     ok = rel < 0.15

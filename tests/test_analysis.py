@@ -13,9 +13,7 @@ from haarnewton.analysis import (
     CONSTANT_NEXT_MIN,
     ConvergenceReport,
     classify,
-    coc,
     convergence_report,
-    empirical_error_constant,
     format_significant,
     theoretical_error_constant,
 )
@@ -34,24 +32,19 @@ def trace_from_errors(errors, root=0.0):
 
 def test_coc_exact_cubic_sequence():
     trace = trace_from_errors([1e-1, 1e-3, 1e-9])
-    assert coc(trace, 0.0) == pytest.approx(3.0, abs=1e-9)
+    assert convergence_report(trace, 0.0).coc == pytest.approx(3.0, abs=1e-9)
 
 
 def test_coc_exact_quadratic_sequence():
     trace = trace_from_errors([1e-1, 1e-2, 1e-4])
-    assert coc(trace, 0.0) == pytest.approx(2.0, abs=1e-9)
-
-
-def test_coc_requires_four_iterates():
-    with pytest.raises(ValueError):
-        coc(Trace(iterates=[1.0, 2.0, 3.0], residuals=[0.0] * 3), 0.0)
+    assert convergence_report(trace, 0.0).coc == pytest.approx(2.0, abs=1e-9)
 
 
 def test_coc_no_usable_triple_returns_nan():
     # everything at roundoff scale
-    trace = trace_from_errors([1e-14, 1e-15, 1e-16])
-    assert math.isnan(coc(trace, 0.0))
-    assert convergence_report(trace, 0.0).usable_triples == 0
+    report = convergence_report(trace_from_errors([1e-14, 1e-15, 1e-16]), 0.0)
+    assert math.isnan(report.coc)
+    assert report.usable_triples == 0
 
 
 @given(
@@ -65,13 +58,13 @@ def test_coc_recovers_geometric_order(p, e0):
     if len(errors) < 3:
         return
     trace = trace_from_errors(errors)
-    assert coc(trace, 0.0) == pytest.approx(p, abs=1e-9)
+    assert convergence_report(trace, 0.0).coc == pytest.approx(p, abs=1e-9)
 
 
 def test_coc_on_wavelet_run_is_cubic():
     entry = suite_entry("f6")
     outcome = iterate(MethodId("new", haar_points=2), entry.problem, entry.x0)
-    rho = coc(outcome.trace, outcome.root)
+    rho = convergence_report(outcome.trace, outcome.root).coc
     assert 2.7 <= rho <= 3.3
 
 
@@ -104,20 +97,20 @@ def test_theoretical_constant_rejects_non_integral_node_count(n):
         theoretical_error_constant(0.5, 0.5, n)
 
 
-def test_empirical_error_constant_direct_quotient():
+def test_error_constant_empirical_direct_quotient():
     trace = trace_from_errors([1e-2, 2.4e-7])
-    assert empirical_error_constant(trace, 0.0) == pytest.approx(0.24, rel=1e-9)
+    assert convergence_report(trace, 0.0).error_constant_empirical == pytest.approx(0.24, rel=1e-9)
 
 
-def test_empirical_error_constant_diverged_trace_is_nan():
+def test_error_constant_empirical_of_diverged_trace_is_nan():
     trace = Trace(iterates=[3.0, 40.0, 2.0e6], residuals=[0.0] * 3)
-    assert math.isnan(empirical_error_constant(trace, 0.0))
+    assert math.isnan(convergence_report(trace, 0.0).error_constant_empirical)
 
 
 def test_empirical_constant_matches_theory_for_exp_minus_one():
     problem = Problem("expm1", lambda x: math.exp(x) - 1.0, math.exp)
     outcome = iterate(MethodId("new", haar_points=2), problem, 0.05)
-    observed = empirical_error_constant(outcome.trace, outcome.root)
+    observed = convergence_report(outcome.trace, outcome.root).error_constant_empirical
     # c2 = 1/2, c3 = 1/6 at the root of e^x - 1
     expected = theoretical_error_constant(0.5, 1.0 / 6.0, 2)
     assert abs(observed - expected) / expected < 0.15
@@ -138,6 +131,10 @@ def test_convergence_report_bundles_diagnostics():
     [
         ([0.0], 0.0),  # exact root at x0: no step taken
         ([3.0, 40.0, math.inf], math.inf),  # diverged to a non-finite iterate
+        ([1.0, 2.0, 3.0], 0.0),  # too short for an order
+        ([1.0] * 4, math.nan),  # non-finite roots
+        ([1.0] * 4, math.inf),
+        ([1.0] * 4, -math.inf),
     ],
 )
 def test_convergence_report_of_degenerate_trace_is_nan(iterates, root):
@@ -147,17 +144,6 @@ def test_convergence_report_of_degenerate_trace_is_nan(iterates, root):
     assert math.isnan(report.error_constant_empirical)
     assert report.usable_triples == 0
     assert report.error_constant_theoretical == theoretical_error_constant(0.5, 0.1, 2)
-
-
-def test_diagnostics_check_the_length_before_the_root():
-    for diagnostic, least in ((coc, 4), (empirical_error_constant, 2)):
-        short = Trace(iterates=[1.0] * (least - 1), residuals=[0.0] * (least - 1))
-        with pytest.raises(ValueError, match="need at least"):
-            diagnostic(short, math.nan)
-        enough = Trace(iterates=[1.0] * least, residuals=[0.0] * least)
-        for root in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="root must be finite"):
-                diagnostic(enough, root)
 
 
 # Reference: the diagnostics as first written, in separate passes over the
@@ -206,16 +192,6 @@ def ref_convergence_report(trace, root, c2=None, c3=None, n_points=2):
     )
 
 
-def assert_diagnostics_match_reference(trace, root):
-    """``coc`` and ``empirical_error_constant`` against the reference, where
-    the trace is long enough for them; ``root`` is finite."""
-    errors = [x - root for x in trace.iterates]
-    if len(errors) >= 4:
-        assert repr(coc(trace, root)) == repr(ref_coc_from(ref_usable_triples(errors)))
-    if len(errors) >= 2:
-        assert repr(empirical_error_constant(trace, root)) == repr(ref_constant_from(errors))
-
-
 def _report_runs():
     for entry in builtin_suite():
         rng = random.Random(f"report-{entry.problem.name}")
@@ -240,7 +216,6 @@ def test_convergence_report_matches_windowed_reference_on_suite_runs():
             got = convergence_report(outcome.trace, outcome.root, **constants)
             want = ref_convergence_report(outcome.trace, outcome.root, **constants)
             assert repr(got) == repr(want), (outcome, constants)
-        assert_diagnostics_match_reference(outcome.trace, outcome.root)
         statuses.add(outcome.status)
     assert {Status.CONVERGED, Status.MAX_ITER} <= statuses
 
@@ -266,7 +241,6 @@ EDGE_ERRORS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-13, -1e-13, 1.0, -1.
 def test_usable_triples_and_report_match_windowed_reference(errors):
     trace = Trace(iterates=errors, residuals=[0.0] * len(errors))  # root 0.0: e == x
     assert repr(convergence_report(trace, 0.0)) == repr(ref_convergence_report(trace, 0.0))
-    assert_diagnostics_match_reference(trace, 0.0)
 
 
 def outcome_with(status, root):

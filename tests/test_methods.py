@@ -711,12 +711,16 @@ ACCOUNTING_STARTS = {"f5": [-84.0229150436985, 273.7748203153746]}
 # the klw shifted f, an oz, wf and fs f', and a wavelet node raise; at -1
 # f and f' raise, and at 0 f' divides by zero
 SQRT = Problem("sqrt-1", lambda x: math.sqrt(x) - 1.0, lambda x: 0.5 / math.sqrt(x))
+# from 700, f/f' ~ -1e4 puts every node of the first step past 709.78, where
+# exp raises OverflowError, while f and f' at x are finite
+EXP_OVERFLOW = Problem("exp-1e308", lambda x: math.exp(x) - 1e308, math.exp)
 
 
 def _accounting_cases():
     for entry in builtin_suite():
         yield entry.problem, _iterate_starts(entry) + ACCOUNTING_STARTS.get(entry.problem.name, [])
     yield SQRT, [0.25, 3.0, 9.0, -1.0, 0.0]
+    yield EXP_OVERFLOW, [700.0]
 
 
 def test_counters_account_for_every_call():
@@ -737,6 +741,20 @@ def test_counters_account_for_every_call():
                     pass
                 assert (calls["f"], calls["df"], counters.n_diag) == (
                     counters.n_f, counters.n_df, 0), (problem.name, step.__name__, x0)
+
+
+ONE_NODE_METHODS = [MethodId("wf"), MethodId("fs"), MethodId("fs", fs_variant="standard-midpoint"),
+                    MethodId("new", 1)]
+
+
+@pytest.mark.parametrize("method", ONE_NODE_METHODS, ids=lambda m: m.label)
+def test_one_node_overflow_is_a_breakdown(method):
+    # ``iterate`` evaluates the one node of these rules outside node_sum; the
+    # accounting test above checks the calls against the counts on this start
+    out = iterate(method, EXP_OVERFLOW, 700.0)
+    c = out.trace.counters
+    assert out.status is Status.DERIVATIVE_BREAKDOWN and out.iterations == 0
+    assert (c.n_f, c.n_df, c.n_diag) == (1, 2, 0)
 
 
 # Parity: ``iterate`` runs each step inline, a second copy of the formulas

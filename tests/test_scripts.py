@@ -1,4 +1,5 @@
-"""Smoke tests: the experiment scripts run against the package in src/."""
+"""The experiment scripts run against the package in src/: smoke tests, and
+convergence_diagnostics.py against its golden stdout."""
 
 import os
 import subprocess
@@ -15,18 +16,23 @@ NAMES = [entry.problem.name for entry in SUITE]
 
 
 def run_script(name):
+    """The script's (stdout, stderr) bytes, after checking that it exited 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name)],
-        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+        capture_output=True, env=env, cwd=ROOT, timeout=120,
     )
-    assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout, done.stderr
+
+
+def script_lines(name):
+    return run_script(name)[0].decode().splitlines()
 
 
 def test_reproduce_comparison_prints_both_fs_grids():
-    lines = run_script("reproduce_comparison.py")
+    lines = script_lines("reproduce_comparison.py")
     headers = [line for line in lines if line.startswith("== fs inner point:")]
     assert headers == [f"== fs inner point: {v.value} ==" for v in FsVariant]
     for name in NAMES:
@@ -35,7 +41,16 @@ def test_reproduce_comparison_prints_both_fs_grids():
 
 
 def test_convergence_diagnostics_reports_every_suite_function():
-    lines = run_script("convergence_diagnostics.py")
+    lines = script_lines("convergence_diagnostics.py")
     for name in NAMES:
         assert sum(line.startswith(f"  {name}: IT=") for line in lines) == 1, name
     assert any(line.strip().startswith("empirical:") for line in lines)
+
+
+# Regenerate only for a deliberate change of output:
+#   PYTHONPATH=src python3 scripts/convergence_diagnostics.py \
+#       > tests/golden/script_convergence_diagnostics.txt
+def test_convergence_diagnostics_prints_its_golden_output():
+    stdout, stderr = run_script("convergence_diagnostics.py")
+    assert stderr == b""
+    assert stdout == (ROOT / "tests" / "golden" / "script_convergence_diagnostics.txt").read_bytes()
