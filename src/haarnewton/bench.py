@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+from math import atan, cos, exp, log, sin
 
 from .analysis import classify
 from .core import FrozenRecord, Problem, Record, StopCriteria
@@ -31,42 +31,42 @@ class ComparisonTable(Record):
         self.rows = [] if rows is None else rows
 
 
+# x**5.0 rounds as x**5, and bound math names as math.X: same bits, f1/f1' ~10% cheaper (ROADMAP)
 SUITE = (
     SuiteEntry(
-        Problem("f1", lambda x: x**5 - x + 1.0, lambda x: 5.0 * x**4 - 1.0),
+        Problem("f1", lambda x: x**5.0 - x + 1.0, lambda x: 5.0 * x**4.0 - 1.0),
         2.0,
     ),
     SuiteEntry(
-        Problem("f2", lambda x: math.cos(x) - x, lambda x: -math.sin(x) - 1.0),
+        Problem("f2", lambda x: cos(x) - x, lambda x: -sin(x) - 1.0),
         1.2,
     ),
     SuiteEntry(
-        Problem("f3", math.atan, lambda x: 1.0 / (1.0 + x * x)),
+        Problem("f3", atan, lambda x: 1.0 / (1.0 + x * x)),
         3.0,
     ),
     SuiteEntry(
         Problem(
             "f4",
-            lambda x: 10.0 * x * math.exp(-(x * x)) - 1.0,
-            lambda x: 10.0 * math.exp(-(x * x)) * (1.0 - 2.0 * x * x),
+            lambda x: 10.0 * x * exp(-(x * x)) - 1.0,
+            lambda x: 10.0 * exp(-(x * x)) * (1.0 - 2.0 * x * x),
         ),
         2.5,
     ),
     SuiteEntry(
         Problem(
             "f5",
-            lambda x: math.exp(-x) * math.sin(x) + math.log(x * x + 1.0),
-            lambda x: math.exp(-x) * (math.cos(x) - math.sin(x))
-            + 2.0 * x / (x * x + 1.0),
+            lambda x: exp(-x) * sin(x) + log(x * x + 1.0),
+            lambda x: exp(-x) * (cos(x) - sin(x)) + 2.0 * x / (x * x + 1.0),
         ),
         1.3,
     ),
     SuiteEntry(
-        Problem("f6", lambda x: x**3 - math.exp(-x), lambda x: 3.0 * x * x + math.exp(-x)),
+        Problem("f6", lambda x: x**3.0 - exp(-x), lambda x: 3.0 * x * x + exp(-x)),
         2.0,
     ),
     SuiteEntry(
-        Problem("f7", lambda x: math.exp(-x) - math.cos(x), lambda x: -math.exp(-x) + math.sin(x)),
+        Problem("f7", lambda x: exp(-x) - cos(x), lambda x: -exp(-x) + sin(x)),
         2.0,
     ),
 )

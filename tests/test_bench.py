@@ -1,7 +1,10 @@
 import json
 import math
+import random
+import struct
 
 import pytest
+import sympy
 
 from haarnewton.bench import (
     CSV_HEADER,
@@ -53,6 +56,109 @@ def test_derivatives_match_finite_differences(name, x):
         -problem.f(x + 2 * h) + 8 * problem.f(x + h) - 8 * problem.f(x - h) + problem.f(x - 2 * h)
     ) / (12 * h)
     assert problem.df(x) == pytest.approx(numeric, rel=1e-8, abs=1e-8)
+
+
+# The suite as the paper prints it: int exponents and math-qualified names.
+# bench.SUITE writes x**5.0 and binds the math names; these pin it to the same bits.
+PRINTED = {
+    "f1": (lambda x: x**5 - x + 1.0, lambda x: 5.0 * x**4 - 1.0),
+    "f2": (lambda x: math.cos(x) - x, lambda x: -math.sin(x) - 1.0),
+    "f3": (math.atan, lambda x: 1.0 / (1.0 + x * x)),
+    "f4": (
+        lambda x: 10.0 * x * math.exp(-(x * x)) - 1.0,
+        lambda x: 10.0 * math.exp(-(x * x)) * (1.0 - 2.0 * x * x),
+    ),
+    "f5": (
+        lambda x: math.exp(-x) * math.sin(x) + math.log(x * x + 1.0),
+        lambda x: math.exp(-x) * (math.cos(x) - math.sin(x)) + 2.0 * x / (x * x + 1.0),
+    ),
+    "f6": (lambda x: x**3 - math.exp(-x), lambda x: 3.0 * x * x + math.exp(-x)),
+    "f7": (lambda x: math.exp(-x) - math.cos(x), lambda x: -math.exp(-x) + math.sin(x)),
+}
+ROOTS = [-1.16730397826142, 0.739085133215161, 0.0, 0.101025848315685, 1.67963061042845,
+         0.77288295914921, 1.29269571937339]
+
+
+def _float_sample():
+    rng = random.Random(5)
+    xs = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    xs += [rng.uniform(-10.0, 10.0) for _ in range(2000)]
+    xs += [math.copysign(10.0 ** rng.uniform(-300.0, 300.0), rng.random() - 0.5)
+           for _ in range(2000)]
+    xs += [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(2000)]
+    for root in ROOTS:
+        xs += [root + rng.uniform(-1e-6, 1e-6) for _ in range(100)]
+        x = root
+        for _ in range(50):
+            x = math.nextafter(x, math.inf)
+            xs += [x, 2.0 * root - x]
+    return xs
+
+
+FLOAT_SAMPLE = _float_sample()
+_ints = random.Random(6)
+INT_SAMPLE = [0, 1, -1, 2707, -2707, 9749, -9749, 10**5, -(10**5)] + [
+    _ints.randint(-(10**5), 10**5) for _ in range(500)
+]
+
+
+def _result(fn, x):
+    """float.hex of fn(x), "nan" for any NaN, or the exception's class and message."""
+    try:
+        y = fn(x)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return "nan" if math.isnan(y) else y.hex()
+
+
+@pytest.mark.parametrize("name", list(PRINTED))
+def test_suite_callables_give_the_printed_formulas_bits(name):
+    problem = suite_entry(name).problem
+    for ours, printed in zip((problem.f, problem.df), PRINTED[name]):
+        wrong = [x for x in FLOAT_SAMPLE if _result(ours, x) != _result(printed, x)]
+        assert not wrong, f"{name}: {len(wrong)} values differ, first {wrong[:5]}"
+
+
+@pytest.mark.parametrize("name", list(PRINTED))
+def test_suite_callables_treat_an_int_as_its_float(name):
+    problem = suite_entry(name).problem
+    for fn in (problem.f, problem.df):
+        wrong = [n for n in INT_SAMPLE if _result(fn, n) != _result(fn, float(n))]
+        assert not wrong, f"{name}: {len(wrong)} ints differ, first {wrong[:5]}"
+
+
+def test_printed_f1_rounds_an_exact_int_power():
+    # x**5 of an int is exact and rounded once, at the end; INT_SAMPLE holds such ints
+    f1, df1 = PRINTED["f1"]
+    assert f1(2707) != f1(2707.0) and f1(2706) == f1(2706.0)
+    assert df1(9749) != df1(9749.0) and df1(9748) == df1(9748.0)
+    assert any(f1(n) != f1(float(n)) for n in INT_SAMPLE)
+
+
+X = sympy.Symbol("x", real=True)
+SYMBOLIC = {
+    "f1": X**5 - X + 1,
+    "f2": sympy.cos(X) - X,
+    "f3": sympy.atan(X),
+    "f4": 10 * X * sympy.exp(-(X**2)) - 1,
+    "f5": sympy.exp(-X) * sympy.sin(X) + sympy.log(X**2 + 1),
+    "f6": X**3 - sympy.exp(-X),
+    "f7": sympy.exp(-X) - sympy.cos(X),
+}
+
+
+@pytest.mark.parametrize("name", list(SYMBOLIC))
+def test_derivatives_match_sympy(name):
+    # oracle: sympy's derivative at 30 digits; the absolute floor covers points near a
+    # zero of f or f', where the float formula's own terms cancel
+    entry = suite_entry(name)
+    rng = random.Random(1)
+    exact_f, exact_df = SYMBOLIC[name], sympy.diff(SYMBOLIC[name], X)
+    for x in [entry.x0] + [rng.uniform(-3.0, 3.0) for _ in range(19)]:
+        at = {X: sympy.Float(x, 30)}
+        for ours, exact in ((entry.problem.f, exact_f), (entry.problem.df, exact_df)):
+            want = float(exact.evalf(30, subs=at))
+            assert ours(x) == pytest.approx(want, rel=1e-13, abs=1e-13), (name, x)
 
 
 def test_unknown_suite_name():
