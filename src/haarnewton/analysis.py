@@ -1,7 +1,5 @@
 """Convergence diagnostics: empirical order, asymptotic error constants."""
 
-from __future__ import annotations
-
 import math
 
 from .core import _BREAKDOWN, _CONVERGED, FrozenRecord, Outcome, Trace, _new, as_count
@@ -30,26 +28,6 @@ _set_coc, _set_empirical, _set_theoretical, _set_triples = (
     ConvergenceReport.__dict__[name].__set__ for name in ConvergenceReport.__slots__)
 
 
-def _diagnostics(trace: Trace, root: float) -> tuple[float, float, int]:
-    """(COC, empirical constant, usable triples) from one walk back over the errors.
-
-    A non-finite root puts every error outside both windows: (NaN, NaN, 0)."""
-    rho = constant = e1 = e2 = math.nan  # e1, e2: |e| one and two iterates later
-    triples = run = 0  # a run of L errors inside the COC window holds L - 2 triples
-    for x in reversed(trace.iterates):
-        e0 = abs(x - root)
-        run = run + 1 if COC_ERROR_MIN < e0 < COC_ERROR_MAX else 0
-        if run > 2:
-            triples += 1
-            if math.isnan(rho) and (denom := math.log(e1 / e0)) != 0.0:
-                rho = math.log(e2 / e1) / denom
-        if (math.isnan(constant) and CONSTANT_ERROR_MIN < e0 <= CONSTANT_ERROR_MAX
-                and e1 > CONSTANT_NEXT_MIN):
-            constant = e1 / e0**3
-        e1, e2 = e0, e1
-    return rho, constant, triples
-
-
 def theoretical_error_constant(c2: float, c3: float, n_points: int) -> float:
     """Leading cubic error coefficient c2^2 - c3/(4 N^2) for an N-node run."""
     n_points = as_count(n_points, "n_points")
@@ -66,12 +44,25 @@ def convergence_report(
     """Bundle the diagnostics; the theoretical constant needs analytic c2, c3.
 
     All three diagnostics come from one backward pass over the trace. A
-    trace too short for a diagnostic, or a non-finite root, gives NaN there.
+    trace too short for a diagnostic gives NaN there; a non-finite root puts
+    every error outside both windows: NaN, NaN and 0 usable triples.
     """
     theoretical = math.nan
     if c2 is not None and c3 is not None:
         theoretical = theoretical_error_constant(c2, c3, n_points)
-    rho, constant, triples = _diagnostics(trace, root)
+    rho = constant = e1 = e2 = math.nan  # e1, e2: |e| one and two iterates later
+    triples = run = 0  # a run of L errors inside the COC window holds L - 2 triples
+    for x in reversed(trace.iterates):
+        e0 = abs(x - root)
+        run = run + 1 if COC_ERROR_MIN < e0 < COC_ERROR_MAX else 0
+        if run > 2:
+            triples += 1
+            if math.isnan(rho) and (denom := math.log(e1 / e0)) != 0.0:
+                rho = math.log(e2 / e1) / denom
+        if (math.isnan(constant) and CONSTANT_ERROR_MIN < e0 <= CONSTANT_ERROR_MAX
+                and e1 > CONSTANT_NEXT_MIN):
+            constant = e1 / e0**3
+        e1, e2 = e0, e1
     report = _new(ConvergenceReport)  # filled through the slot setters, skipping __init__
     _set_coc(report, rho if len(trace.iterates) >= 4 else math.nan)
     _set_empirical(report, constant)

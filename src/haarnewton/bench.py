@@ -1,7 +1,5 @@
 """Built-in benchmark suite and the comparison-grid runner/formatters."""
 
-from __future__ import annotations
-
 from math import atan, cos, exp, log, sin
 
 from .analysis import classify

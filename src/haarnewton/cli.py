@@ -1,19 +1,14 @@
 """Command-line front end: solve one equation, run the comparison grid,
 or estimate the convergence order of a run."""
 
-from __future__ import annotations
-
 import math
 import sys
+from collections.abc import Sequence
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import analysis, bench
 from .core import Status, StopCriteria, as_count
 from .methods import METHOD_TAGS, FsVariant, MethodId, iterate
-
-if TYPE_CHECKING:
-    import argparse
 
 FUNCTION_NAMES = tuple(entry.problem.name for entry in bench.SUITE)
 
@@ -57,7 +52,7 @@ def _criteria(args: SimpleNamespace) -> StopCriteria:
     return StopCriteria(step_tol=args.tol, residual_tol=args.tol, max_iter=args.max_iter)
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -134,10 +129,11 @@ def cmd_coc(args: SimpleNamespace) -> int:
     return EXIT_OK if converged and math.isfinite(report.coc) else EXIT_NOT_CONVERGED
 
 
-_COMMON = {
+_NODES = {
     "--m": dict(type=_count, default=1, help="resolution multiplier M; node count is 2M"),
     "--points": dict(type=_count, default=None, help="node count override (P >= 1)"),
-    "--x0": dict(type=float, default=None, help="starting point override"),
+}
+_COMMON = {
     "--tol": dict(type=_tol, default=1e-15, help="step and residual tolerance"),
     "--max-iter": dict(type=_count, default=100),
     "--fs-variant": dict(choices=[v.value for v in FsVariant], default=FsVariant.AS_PRINTED.value,
@@ -148,6 +144,8 @@ _ONE_RUN = {
     "--function": dict(required=True, choices=FUNCTION_NAMES),
     "--method": dict(required=True, choices=METHOD_TAGS),
 }
+# solve's and coc's only: compare starts every equation at its suite x0
+_X0 = dict(type=float, default=None, help="starting point override")
 # Each subcommand's handler, help and options. An option maps to the keywords
 # of its add_argument call, which the exact parser reads as well; --trace is
 # the one flag, every other option takes a value.
@@ -155,7 +153,7 @@ COMMANDS = {
     "solve": (cmd_solve, "run one method on one suite equation", {
         **_ONE_RUN,
         "--trace": dict(action="store_true", default=False, help="print the per-iterate trace"),
-        **_COMMON,
+        **_NODES, "--x0": _X0, **_COMMON,
     }),
     "compare": (cmd_compare, "run the benchmark comparison grid", {
         "--functions": dict(default=",".join(FUNCTION_NAMES), help="comma-separated suite function names"),
@@ -163,18 +161,18 @@ COMMANDS = {
                           help=f"comma-separated method tags, from {', '.join(METHOD_TAGS)}; "
                           "--fs-variant sets the fs variant and --points (or --m) the node count"),
         "--format": dict(choices=bench.FORMATS, default="text"),
-        **_COMMON,
+        **_NODES, **_COMMON,
     }),
     "coc": (cmd_coc, "convergence-order diagnostics for one run", {
         **_ONE_RUN,
         "--c2": dict(type=float, default=None, help="analytic f''(root)/(2 f'(root)); new only"),
         "--c3": dict(type=float, default=None, help="analytic f'''(root)/(6 f'(root)); new only"),
-        **_COMMON,
+        **_NODES, "--x0": _X0, **_COMMON,
     }),
 }
 
 
-def _parse_exact(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+def _parse_exact(argv: Sequence[str]) -> SimpleNamespace | None:
     """The namespace argparse gives ``argv`` when ``argv`` is a subcommand
     followed only by its options, each spelled out in full, every one but
     ``--trace`` with its value as the next token (not starting with ``-``),
@@ -229,12 +227,12 @@ def _parsers():
     return parser, sub.choices
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
     """The argparse parser of the ``haarnewton`` command, built from ``COMMANDS``."""
     return _parsers()[0]
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_exact(argv)
     if args is None:

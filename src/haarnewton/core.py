@@ -1,11 +1,9 @@
 """Core domain types: problem definitions, stopping rules, traces, outcomes."""
 
-from __future__ import annotations
-
 import enum
 import math
 import operator
-from typing import Callable
+from collections.abc import Callable
 
 
 class Status(enum.Enum):

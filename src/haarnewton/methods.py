@@ -49,8 +49,6 @@ never as ``Status`` attributes: on Python 3.10 and 3.11 such a read costs
 over 100 ns, ten times a global's, and every run would make three.
 """
 
-from __future__ import annotations
-
 import enum
 from math import isfinite, nan
 

@@ -6,11 +6,9 @@ composite midpoint rule, so it is exact on affine integrands and
 second-order accurate on smooth ones.
 """
 
-from __future__ import annotations
-
+from collections.abc import Callable
 from functools import lru_cache
 from math import nan
-from typing import Callable
 
 from .core import MATH_ERRORS, as_count
 

@@ -150,6 +150,14 @@ def test_compare_methods_takes_tags_not_printed_labels(capsys):
     assert "--fs-variant" in help_text and "--points" in help_text
 
 
+def test_compare_refuses_x0(capsys):
+    # each grid cell starts at its suite x0, so an --x0 would be silently ignored
+    with pytest.raises(SystemExit) as info:
+        main(["compare", "--functions", "f2", "--methods", "newton", "--format", "csv", "--x0", "5"])
+    assert info.value.code == 1
+    assert "haarnewton: error: unrecognized arguments: --x0 5" in capsys.readouterr().err
+
+
 def test_compare_exit_zero_despite_divergent_cells(capsys):
     code, out = run_cli(capsys, "compare", "--functions", "f3", "--format", "csv")
     assert code == 0
@@ -325,12 +333,14 @@ def test_coc_one_constant_without_the_other_is_a_usage_error(capsys, constant):
     assert "haarnewton coc: error: --c2/--c3: give both constants or neither" in captured.err
 
 
-# Run in a fresh interpreter: the modules only count when the import of
-# haarnewton.cli, or a README command run through main, is what loads them,
-# not the interpreter's own start-up. The json command runs last, so that
-# json is checked before it.
+# Run in a fresh interpreter started with -S: the modules only count when the
+# import of haarnewton.cli, or a README command run through main, is what
+# loads them, not the interpreter's own start-up or a site hook, which may
+# preload typing and re. The script imports contextlib only after checking
+# that haarnewton.cli leaves it out. The json command runs last, so that json
+# is checked before it.
 LEAN_IMPORT_CHECK = """
-import contextlib, io, sys
+import sys
 before = set(sys.modules)
 from haarnewton.cli import main
 
@@ -339,7 +349,9 @@ def check(names, when):
     assert not loaded, f"{sorted(loaded)} loaded {when}"
 
 PARSING = {"argparse", "gettext", "locale"}
-check(PARSING | {"dataclasses", "inspect", "json"}, "with haarnewton.cli")
+SCAFFOLDING = {"typing", "__future__", "re", "contextlib", "warnings"}
+check(PARSING | SCAFFOLDING | {"dataclasses", "inspect", "json"}, "with haarnewton.cli")
+import contextlib, io
 *commands, last = sys.argv[1:]
 for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -356,7 +368,7 @@ def test_cli_and_readme_commands_leave_out_argparse_gettext_locale_and_json():
     commands = [args for args, _ in README_COMMANDS.values()]
     commands.sort(key=lambda args: "json" in args)
     done = subprocess.run(
-        [sys.executable, "-c", LEAN_IMPORT_CHECK, *commands],
+        [sys.executable, "-S", "-c", LEAN_IMPORT_CHECK, *commands],
         capture_output=True, text=True, env=_child_env(), timeout=60,
     )
     assert done.returncode == 0, done.stderr

@@ -1,7 +1,9 @@
 """The experiment scripts run against the package in src/: smoke tests, and
-convergence_diagnostics.py against its golden stdout."""
+convergence_diagnostics.py against its golden stdout. Also the CI workflow's
+pinned test dependencies against pyproject.toml's ``test`` extra."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,3 +56,14 @@ def test_convergence_diagnostics_prints_its_golden_output():
     stdout, stderr = run_script("convergence_diagnostics.py")
     assert stderr == b""
     assert stdout == (ROOT / "tests" / "golden" / "script_convergence_diagnostics.txt").read_bytes()
+
+
+def test_ci_pins_exactly_the_test_extra():
+    # regexes, not tomllib or a YAML parser: Python 3.10 has no tomllib
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    extra = re.findall(r'"([^"]+)"', re.search(r"^test = \[(.*)\]$", pyproject, re.M).group(1))
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    [install] = re.findall(r"^\s*run: python -m pip install (.+)$", workflow, re.M)
+    pins = [re.fullmatch(r"([\w.-]+)==[\w.]+", spec) for spec in install.split()]
+    assert all(pins), f"not every package is pinned: {install}"
+    assert sorted(pin.group(1) for pin in pins) == sorted(extra)
