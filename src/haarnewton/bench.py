@@ -76,6 +76,7 @@ def builtin_suite() -> list[SuiteEntry]:
 
 
 def suite_entry(name: str) -> SuiteEntry:
+    # built per call, not at import: perfbench's traced CLI pass patches ``builtin_suite``
     entries = {entry.problem.name: entry for entry in builtin_suite()}
     if name not in entries:
         raise KeyError(f"unknown suite function {name!r}; known: {list(entries)}")

@@ -106,6 +106,8 @@ def cmd_coc(args: SimpleNamespace) -> int:
         raise ValueError("--c2/--c3: the theoretical constant is defined for method 'new' only")
     if (args.c2 is None) != (args.c3 is None):
         raise ValueError("--c2/--c3: give both constants or neither")
+    if args.c2 is not None and not (math.isfinite(args.c2) and math.isfinite(args.c3)):
+        raise ValueError("--c2/--c3: the constants must be finite numbers")
     entry, method, outcome = _run(args)
     report = analysis.convergence_report(
         outcome.trace,

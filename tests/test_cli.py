@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haarnewton import cli
+from haarnewton import analysis, bench, cli
 from haarnewton.bench import FORMATS
 from haarnewton.cli import main
 from haarnewton.methods import METHOD_TAGS
@@ -231,6 +231,42 @@ def test_readme_command_matches_golden_output(name):
     assert done.stdout == (GOLDEN / f"readme_{name}.txt").read_bytes()
 
 
+# perfbench's traced CLI pass replaces these six module attributes with
+# setattr, so cli and bench must look each one up when it is called, not bind
+# it at import (a suite index or a ``from .bench import run_comparison``);
+# each README command must still reach the seams it reached when measured.
+SEAMS = [(bench, "builtin_suite"), (bench, "run_comparison"), (bench, "format_table"),
+         (bench, "iterate"), (cli, "iterate"), (analysis, "convergence_report")]
+ONE_RUN_SEAMS = {"bench.builtin_suite", "cli.iterate"}
+GRID_SEAMS = {"bench.builtin_suite", "bench.run_comparison", "bench.format_table", "bench.iterate"}
+SEAMS_REACHED = {
+    "solve_f2_new": ONE_RUN_SEAMS,
+    "solve_f6_klw_trace": ONE_RUN_SEAMS,
+    "compare_csv": GRID_SEAMS,
+    "compare_f6_new_json": GRID_SEAMS,
+    "coc_f6_new": ONE_RUN_SEAMS | {"analysis.convergence_report"},
+}
+
+
+def _recording(name, original, reached):
+    def seam(*args, **kwargs):
+        reached.add(name)
+        return original(*args, **kwargs)
+    return seam
+
+
+@pytest.mark.parametrize("name", README_COMMANDS)
+def test_readme_command_reaches_the_seams_perfbench_patches(monkeypatch, capsys, name):
+    reached = set()
+    for module, attr in SEAMS:
+        seam = f"{module.__name__.rpartition('.')[2]}.{attr}"
+        monkeypatch.setattr(module, attr, _recording(seam, getattr(module, attr), reached))
+    args, code = README_COMMANDS[name]
+    assert main(args.split()) == code
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"readme_{name}.txt").read_bytes()
+    assert reached == SEAMS_REACHED[name]
+
+
 @pytest.mark.parametrize("command", ["solve", "coc"])
 @pytest.mark.parametrize(
     "options, label",
@@ -331,6 +367,21 @@ def test_coc_one_constant_without_the_other_is_a_usage_error(capsys, constant):
     assert info.value.code == 1
     assert captured.out == ""
     assert "haarnewton coc: error: --c2/--c3: give both constants or neither" in captured.err
+
+
+@pytest.mark.parametrize(
+    "constants",
+    [("--c2", "0.5", "--c3", "nan"), ("--c2", "inf", "--c3", "1"), ("--c2", "0.5", "--c3=-inf")],
+    ids=["nan", "inf", "-inf"],
+)
+def test_coc_non_finite_constant_is_a_usage_error(capsys, constants):
+    with pytest.raises(SystemExit) as info:
+        main(["coc", "--function", "f6", "--method", "new", *constants])
+    captured = capsys.readouterr()
+    assert info.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage: haarnewton coc ")
+    assert "haarnewton coc: error: --c2/--c3: the constants must be finite numbers" in captured.err
 
 
 # Run in a fresh interpreter started with -S: the modules only count when the

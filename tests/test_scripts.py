@@ -1,17 +1,18 @@
-"""The experiment scripts run against the package in src/: smoke tests, and
-convergence_diagnostics.py against its golden stdout. Also the CI workflow's
-pinned test dependencies against pyproject.toml's ``test`` extra."""
+"""The experiment script runs against the package in src/: a smoke test, and
+convergence_diagnostics.py against its golden stdout; the README lists
+exactly the scripts there are. Also the CI workflow's pinned test
+dependencies against pyproject.toml's ``test`` extra, and its console script
+against the CLI's entry point."""
 
+import importlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
+from haarnewton import cli
 from haarnewton.bench import SUITE
-from haarnewton.methods import FsVariant
 
 ROOT = Path(__file__).resolve().parent.parent
 NAMES = [entry.problem.name for entry in SUITE]
@@ -31,15 +32,6 @@ def run_script(name):
 
 def script_lines(name):
     return run_script(name)[0].decode().splitlines()
-
-
-def test_reproduce_comparison_prints_both_fs_grids():
-    lines = script_lines("reproduce_comparison.py")
-    headers = [line for line in lines if line.startswith("== fs inner point:")]
-    assert headers == [f"== fs inner point: {v.value} ==" for v in FsVariant]
-    for name in NAMES:
-        # five methods per grid, two grids
-        assert sum(line.split()[:1] == [name] for line in lines) == 10
 
 
 def test_convergence_diagnostics_reports_every_suite_function():
@@ -67,3 +59,19 @@ def test_ci_pins_exactly_the_test_extra():
     pins = [re.fullmatch(r"([\w.-]+)==[\w.]+", spec) for spec in install.split()]
     assert all(pins), f"not every package is pinned: {install}"
     assert sorted(pin.group(1) for pin in pins) == sorted(extra)
+
+
+def test_readme_lists_exactly_the_scripts():
+    readme = (ROOT / "README.md").read_text()
+    listed = re.findall(r"^python3 scripts/(\S+\.py)\b", readme, re.M)
+    # every listed script exists, and every script is listed
+    assert sorted(listed) == sorted(path.name for path in (ROOT / "scripts").glob("*.py"))
+
+
+def test_console_script_resolves_to_cli_main():
+    # a regex, not tomllib: Python 3.10 has no tomllib
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n((?:[^[\n].*\n)*)", pyproject, re.M).group(1)
+    [(name, module, attr)] = re.findall(r'^(\S+) = "([\w.]+):(\w+)"$', scripts, re.M)
+    assert name == "haarnewton"
+    assert getattr(importlib.import_module(module), attr) is cli.main
