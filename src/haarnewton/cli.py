@@ -125,6 +125,8 @@ def cmd_coc(args: SimpleNamespace) -> int:
         f"empirical constant:   {report.error_constant_empirical:.6g}",
     ]
     if args.c2 is not None:
+        if not math.isfinite(report.error_constant_theoretical):
+            raise ValueError("--c2/--c3: the theoretical constant c2^2 - c3/(4P^2) is not finite")
         lines.append(f"theoretical constant: {report.error_constant_theoretical:.6g}")
     _emit("\n".join(lines) + "\n", args.out)
     converged = outcome.status is Status.CONVERGED

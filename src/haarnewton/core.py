@@ -57,9 +57,9 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """Immutable, hashable ``Record``: ``__init__`` stores through ``_store``, and the
-    result builders (``_outcome``, ``analysis.convergence_report``) skip it with bound
-    slot setters; assignment and deletion raise ``AttributeError``."""
+    """Immutable ``Record``, hashable when its fields are: ``__init__`` stores through
+    ``_store``, and the result builders (``_outcome``, ``analysis.convergence_report``) skip
+    it with bound slot setters; assignment and deletion raise ``AttributeError``."""
 
     __slots__ = ()
 
@@ -150,16 +150,37 @@ class Trace(Record):
 
 
 class Outcome(FrozenRecord):
-    """Result of a run: status, final estimate, and cost statistics."""
+    """Result of a run: status, final estimate, and cost statistics. Immutable but
+    unhashable, as its ``Trace`` is mutable. ``trace`` is built on its first read from what
+    ``_outcome`` kept raw; racing first reads may get equal but distinct traces."""
 
-    __slots__ = _fields = ("status", "root", "iterations", "nfe", "trace")
+    __slots__ = ("status", "root", "iterations", "nfe", "_trace", "_raw")
+    _fields = ("status", "root", "iterations", "nfe", "trace")
 
     def __init__(self, status: Status, root: float, iterations: int, nfe: int,
                  trace: Trace) -> None:
-        self._store(status, root, iterations, nfe, trace)
+        self._store(status, root, iterations, nfe, trace, None)
+
+    @property
+    def trace(self) -> Trace:
+        raw = self._raw
+        if raw is None:
+            return self._trace
+        iterates, residuals, n_f, n_df, n_diag = raw
+        counters = _new(EvalCounters)
+        counters.n_f = n_f
+        counters.n_df = n_df
+        counters.n_diag = n_diag
+        trace = _new(Trace)
+        trace.iterates = iterates
+        trace.residuals = residuals
+        trace.counters = counters
+        _set_trace(self, trace)  # before _raw goes: a racing reader finds one of them
+        _set_raw(self, None)
+        return trace
 
 
-_set_status, _set_root, _set_iterations, _set_nfe, _set_trace = (
+_set_status, _set_root, _set_iterations, _set_nfe, _set_trace, _set_raw = (
     Outcome.__dict__[name].__set__ for name in Outcome.__slots__)
 
 _new = object.__new__
@@ -168,22 +189,14 @@ _new = object.__new__
 def _outcome(status: Status, root: float, iterations: int, iterates: list[float],
              residuals: list[float], n_f: int, n_df: int, n_diag: int) -> Outcome:
     """``Outcome(status, root, iterations, n_f + n_df, Trace(iterates, residuals,
-    EvalCounters(n_f, n_df, n_diag)))`` without running the three ``__init__``:
-    ``iterate``'s return path, where the constructors were the largest fixed cost."""
-    counters = _new(EvalCounters)
-    counters.n_f = n_f
-    counters.n_df = n_df
-    counters.n_diag = n_diag
-    trace = _new(Trace)
-    trace.iterates = iterates
-    trace.residuals = residuals
-    trace.counters = counters
+    EvalCounters(n_f, n_df, n_diag)))`` as one object and no ``__init__``: ``iterate``'s
+    return path. The rest stays raw for ``Outcome.trace``: an unread trace is never built."""
     outcome = _new(Outcome)
     _set_status(outcome, status)
     _set_root(outcome, root)
     _set_iterations(outcome, iterations)
     _set_nfe(outcome, n_f + n_df)
-    _set_trace(outcome, trace)
+    _set_raw(outcome, (iterates, residuals, n_f, n_df, n_diag))
     return outcome
 
 

@@ -42,8 +42,8 @@ the TypeError of a complex result included, raises ``DerivativeBreakdownError``.
 residuals, where NaN means "go on". It keeps its counts in locals, each
 incremented before its call: reused residuals go to ``n_f``, the one
 residual that no step reuses to ``n_diag``. It builds its result once, after the loop, through
-``core._outcome``, which fills the three records without running their
-constructors, the largest fixed cost of a short run. It reads the
+``core._outcome``, which makes only the ``Outcome`` and skips its constructor, the
+largest fixed cost of a short run; the ``Trace`` waits for its first read. It reads the
 ``Status`` members only as core's module constants (``_CONVERGED``, ...),
 never as ``Status`` attributes: on Python 3.10 and 3.11 such a read costs
 over 100 ns, ten times a global's, and every run would make three.

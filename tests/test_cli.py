@@ -384,6 +384,19 @@ def test_coc_non_finite_constant_is_a_usage_error(capsys, constants):
     assert "haarnewton coc: error: --c2/--c3: the constants must be finite numbers" in captured.err
 
 
+@pytest.mark.parametrize("c2", ["--c2=1e200", "--c2=-1e200"])
+def test_coc_overflowing_theoretical_constant_is_a_usage_error(capsys, c2):
+    # finite constants, but c2^2 overflows, so c2^2 - c3/(4P^2) is inf
+    with pytest.raises(SystemExit) as info:
+        main(["coc", "--function", "f6", "--method", "new", c2, "--c3", "1"])
+    captured = capsys.readouterr()
+    assert info.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage: haarnewton coc ")
+    assert ("haarnewton coc: error: --c2/--c3: the theoretical constant c2^2 - c3/(4P^2)"
+            " is not finite") in captured.err
+
+
 # Run in a fresh interpreter started with -S: the modules only count when the
 # import of haarnewton.cli, or a README command run through main, is what
 # loads them, not the interpreter's own start-up or a site hook, which may

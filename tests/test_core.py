@@ -2,6 +2,7 @@ import copy
 import inspect
 import math
 import pickle
+import types
 
 import pytest
 
@@ -263,6 +264,16 @@ def test_frozen_record_is_immutable_hashable_and_copyable(name):
         return
     assert hash(record) == hash(RECORDS[name][1]())
     assert len({record, RECORDS[name][1](), RECORDS[name][2]()}) == 2
+
+
+def test_outcome_fields_are_plain_slots_and_trace_the_one_property():
+    # every read of status, root, iterations or nfe stays a slot read; only the
+    # trace, built on its first read, goes through a property
+    for name in ("status", "root", "iterations", "nfe"):
+        assert type(vars(Outcome)[name]) is types.MemberDescriptorType, name
+    properties = {name for cls in Outcome.__mro__ for name, value in vars(cls).items()
+                  if isinstance(value, property)}
+    assert properties == {"trace"}
 
 
 @pytest.mark.parametrize("name", MUTABLE)

@@ -294,8 +294,9 @@ def test_iterate_result_is_the_one_the_public_constructors_build(path, monkeypat
     problem, x0, criteria, _ = EXIT_PATHS[path]
     forbid_result_constructors(monkeypatch)  # only the builder can fill these records
     outcome = iterate(MethodId("newton"), problem, x0, criteria)
+    trace = outcome.trace  # the first read builds the Trace, also without a constructor
     monkeypatch.undo()
-    trace, counters = outcome.trace, outcome.trace.counters
+    counters = trace.counters
     built = Outcome(outcome.status, outcome.root, outcome.iterations,
                     counters.n_f + counters.n_df,
                     Trace(list(trace.iterates), list(trace.residuals),
@@ -313,6 +314,49 @@ def test_iterate_result_is_the_one_the_public_constructors_build(path, monkeypat
     counters.n_f += 1
     counters.n_diag += 1
     assert again == built and repr(again) == repr(built)
+
+
+@pytest.mark.parametrize("path", EXIT_PATHS)
+def test_iterate_builds_the_trace_once_on_its_first_read(path):
+    problem, x0, criteria, _ = EXIT_PATHS[path]
+
+    def run():
+        return iterate(MethodId("newton"), problem, x0, criteria)
+
+    read = run()
+    assert not hasattr(read, "_trace")  # no Trace before the first read
+    trace = read.trace
+    assert type(trace) is Trace and read.trace is trace and read.trace.counters is trace.counters
+
+    # an outcome never read equals, reprs, copies and pickles like one that was
+    assert run() == read and read == run() and repr(run()) == repr(read)
+    for copied in (copy.deepcopy(run()), pickle.loads(pickle.dumps(run()))):
+        assert copied == read and repr(copied) == repr(read)
+    with pytest.raises(TypeError, match="unhashable type: 'Trace'"):
+        hash(run())
+
+    # the lists and counters handed out are the outcome's own, and stay so
+    iterates, n_f, n_diag = list(trace.iterates), trace.counters.n_f, trace.counters.n_diag
+    trace.iterates.append(9.0)
+    trace.residuals.append(9.0)
+    trace.counters.n_f += 1
+    trace.counters.n_diag += 1
+    assert read.trace.iterates == [*iterates, 9.0] and read.trace.residuals[-1] == 9.0
+    assert (read.trace.counters.n_f, read.trace.counters.n_diag) == (n_f + 1, n_diag + 1)
+    assert read != run()
+
+    for outcome in (read, run()):
+        with pytest.raises(AttributeError):
+            outcome.trace = trace
+        with pytest.raises(AttributeError):
+            del outcome.trace
+    assert read.trace is trace
+
+
+@pytest.mark.parametrize("value", [(), None, "trace"], ids=repr)
+def test_outcome_returns_the_trace_it_was_given(value):
+    outcome = Outcome(Status.CONVERGED, 0.0, 0, 1, value)
+    assert outcome.trace is value and outcome.trace is value  # stored, never rebuilt
 
 
 def test_iterate_builds_its_result_without_the_record_constructors():
