@@ -91,6 +91,10 @@ def cmd_solve(args: SimpleNamespace) -> int:
 def cmd_compare(args: SimpleNamespace) -> int:
     names = [n.strip() for n in args.functions.split(",") if n.strip()]
     labels = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not names:
+        raise ValueError("--functions: give at least one function name")
+    if not labels:
+        raise ValueError("--methods: give at least one method tag")
     for name in names:
         if name not in FUNCTION_NAMES:
             raise ValueError(f"unknown function {name!r}")

@@ -1,8 +1,23 @@
 """Shared test helpers."""
 
+import os
+from pathlib import Path
+
+import haarnewton
 from haarnewton.analysis import ConvergenceReport
 from haarnewton.bench import CSV_HEADER, ComparisonTable, TableRow
 from haarnewton.core import EvalCounters, Outcome, Trace
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def child_env() -> dict:
+    """This process's environment, with the directory that holds the imported
+    ``haarnewton`` first on PYTHONPATH, so that a child runs the same copy."""
+    env = dict(os.environ)
+    package_dir = str(Path(haarnewton.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_dir, env.get("PYTHONPATH")]))
+    return env
 
 
 def parse_csv(text: str) -> ComparisonTable:

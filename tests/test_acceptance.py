@@ -7,15 +7,12 @@ rather than being loosened; see the repository README.
 """
 
 import math
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import haarnewton
 from haarnewton.analysis import (
     COC_ERROR_MAX,
     COC_ERROR_MIN,
@@ -33,6 +30,8 @@ from haarnewton.methods import (
     wf_step,
 )
 from haarnewton.quadrature import haar_indefinite_integral
+
+from helpers import child_env
 
 WF = MethodId("wf")
 FS_PRINTED = MethodId("fs", fs_variant=FsVariant.AS_PRINTED)
@@ -227,10 +226,8 @@ def test_criterion_7_structural_identities():
 
 def test_criterion_8_determinism():
     cmd = [sys.executable, "-m", "haarnewton", "compare", "--format", "csv"]
-    # the child runs the copy of the package that this process imported
-    env = dict(os.environ, PYTHONPATH=str(Path(haarnewton.__file__).parents[1]))
-    first = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
-    second = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
+    first = subprocess.run(cmd, capture_output=True, check=True, env=child_env()).stdout
+    second = subprocess.run(cmd, capture_output=True, check=True, env=child_env()).stdout
     ok = first == second and len(first) > 0
     report(8, ok)
     assert ok

@@ -1,8 +1,12 @@
+import importlib.util
 import json
 import math
 import random
 import struct
+import sys
+from functools import partial
 
+import mpmath
 import pytest
 import sympy
 
@@ -18,7 +22,8 @@ from haarnewton.bench import (
 from haarnewton.core import StopCriteria
 from haarnewton.methods import FsVariant, MethodId
 
-from helpers import parse_csv
+from helpers import ROOT, parse_csv
+from suite_formulas import FORMULAS
 
 PAPER_ORDER = [MethodId("wf"), MethodId("fs"), MethodId("oz"), MethodId("klw"), MethodId("new")]
 
@@ -58,23 +63,6 @@ def test_derivatives_match_finite_differences(name, x):
     assert problem.df(x) == pytest.approx(numeric, rel=1e-8, abs=1e-8)
 
 
-# The suite as the paper prints it: int exponents and math-qualified names.
-# bench.SUITE writes x**5.0 and binds the math names; these pin it to the same bits.
-PRINTED = {
-    "f1": (lambda x: x**5 - x + 1.0, lambda x: 5.0 * x**4 - 1.0),
-    "f2": (lambda x: math.cos(x) - x, lambda x: -math.sin(x) - 1.0),
-    "f3": (math.atan, lambda x: 1.0 / (1.0 + x * x)),
-    "f4": (
-        lambda x: 10.0 * x * math.exp(-(x * x)) - 1.0,
-        lambda x: 10.0 * math.exp(-(x * x)) * (1.0 - 2.0 * x * x),
-    ),
-    "f5": (
-        lambda x: math.exp(-x) * math.sin(x) + math.log(x * x + 1.0),
-        lambda x: math.exp(-x) * (math.cos(x) - math.sin(x)) + 2.0 * x / (x * x + 1.0),
-    ),
-    "f6": (lambda x: x**3 - math.exp(-x), lambda x: 3.0 * x * x + math.exp(-x)),
-    "f7": (lambda x: math.exp(-x) - math.cos(x), lambda x: -math.exp(-x) + math.sin(x)),
-}
 ROOTS = [-1.16730397826142, 0.739085133215161, 0.0, 0.101025848315685, 1.67963061042845,
          0.77288295914921, 1.29269571937339]
 
@@ -111,15 +99,17 @@ def _result(fn, x):
     return "nan" if math.isnan(y) else y.hex()
 
 
-@pytest.mark.parametrize("name", list(PRINTED))
+# bench.SUITE writes x**5.0 and binds the math names; this pins it to the printed formulas' bits
+@pytest.mark.parametrize("name", list(FORMULAS))
 def test_suite_callables_give_the_printed_formulas_bits(name):
     problem = suite_entry(name).problem
-    for ours, printed in zip((problem.f, problem.df), PRINTED[name]):
+    for ours, formula in zip((problem.f, problem.df), FORMULAS[name]):
+        printed = partial(formula, math)
         wrong = [x for x in FLOAT_SAMPLE if _result(ours, x) != _result(printed, x)]
         assert not wrong, f"{name}: {len(wrong)} values differ, first {wrong[:5]}"
 
 
-@pytest.mark.parametrize("name", list(PRINTED))
+@pytest.mark.parametrize("name", list(FORMULAS))
 def test_suite_callables_treat_an_int_as_its_float(name):
     problem = suite_entry(name).problem
     for fn in (problem.f, problem.df):
@@ -129,36 +119,47 @@ def test_suite_callables_treat_an_int_as_its_float(name):
 
 def test_printed_f1_rounds_an_exact_int_power():
     # x**5 of an int is exact and rounded once, at the end; INT_SAMPLE holds such ints
-    f1, df1 = PRINTED["f1"]
+    f1, df1 = (partial(formula, math) for formula in FORMULAS["f1"])
     assert f1(2707) != f1(2707.0) and f1(2706) == f1(2706.0)
     assert df1(9749) != df1(9749.0) and df1(9748) == df1(9748.0)
     assert any(f1(n) != f1(float(n)) for n in INT_SAMPLE)
 
 
 X = sympy.Symbol("x", real=True)
-SYMBOLIC = {
-    "f1": X**5 - X + 1,
-    "f2": sympy.cos(X) - X,
-    "f3": sympy.atan(X),
-    "f4": 10 * X * sympy.exp(-(X**2)) - 1,
-    "f5": sympy.exp(-X) * sympy.sin(X) + sympy.log(X**2 + 1),
-    "f6": X**3 - sympy.exp(-X),
-    "f7": sympy.exp(-X) - sympy.cos(X),
-}
 
 
-@pytest.mark.parametrize("name", list(SYMBOLIC))
+@pytest.mark.parametrize("name", list(FORMULAS))
 def test_derivatives_match_sympy(name):
     # oracle: sympy's derivative at 30 digits; the absolute floor covers points near a
     # zero of f or f', where the float formula's own terms cancel
     entry = suite_entry(name)
+    # the table's float constants as exact rationals, so that the oracle holds no rounding
+    exact_f, table_df = (sympy.nsimplify(formula(sympy, X), rational=True)
+                         for formula in FORMULAS[name])
+    exact_df = sympy.diff(exact_f, X)
+    assert sympy.simplify(exact_df - table_df) == 0
     rng = random.Random(1)
-    exact_f, exact_df = SYMBOLIC[name], sympy.diff(SYMBOLIC[name], X)
     for x in [entry.x0] + [rng.uniform(-3.0, 3.0) for _ in range(19)]:
         at = {X: sympy.Float(x, 30)}
         for ours, exact in ((entry.problem.f, exact_f), (entry.problem.df, exact_df)):
             want = float(exact.evalf(30, subs=at))
             assert ours(x) == pytest.approx(want, rel=1e-13, abs=1e-13), (name, x)
+
+
+@pytest.mark.parametrize("name", list(FORMULAS))
+def test_perfbench_oracle_suite_is_the_table(name, monkeypatch):
+    # perfbench checks roots against its own mpmath copy of the suite; loaded by path,
+    # with nothing else of perfbench imported and no bytecode written there
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("oracle", ROOT / "perfbench" / "oracle.py")
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    assert list(oracle.SUITE_MP) == list(FORMULAS)
+    rng = random.Random(3)
+    with mpmath.workdps(50):
+        for x in [suite_entry(name).x0] + [rng.uniform(-5.0, 5.0) for _ in range(200)]:
+            x = mpmath.mpf(x)
+            assert oracle.SUITE_MP[name](mpmath, x) == FORMULAS[name][0](mpmath, x), (name, x)
 
 
 def test_unknown_suite_name():

@@ -13,6 +13,8 @@ from haarnewton.bench import FORMATS
 from haarnewton.cli import main
 from haarnewton.methods import METHOD_TAGS
 
+from helpers import ROOT, child_env
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -158,6 +160,19 @@ def test_compare_refuses_x0(capsys):
     assert "haarnewton: error: unrecognized arguments: --x0 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, message", [
+    ("--functions", "give at least one function name"),
+    ("--methods", "give at least one method tag"),
+], ids=["functions", "methods"])
+def test_compare_empty_list_names_its_option(capsys, option, message):
+    with pytest.raises(SystemExit) as info:
+        main(["compare", option, ","])
+    captured = capsys.readouterr()
+    assert info.value.code == 1
+    assert captured.out == ""
+    assert f"haarnewton compare: error: {option}: {message}\n" in captured.err
+
+
 def test_compare_exit_zero_despite_divergent_cells(capsys):
     code, out = run_cli(capsys, "compare", "--functions", "f3", "--format", "csv")
     assert code == 0
@@ -207,13 +222,6 @@ README_COMMANDS = {
     "compare_f6_new_json": ("compare --functions f6 --methods new --format json", 0),
     "coc_f6_new": ("coc --function f6 --method new --m 1", 0),
 }
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _child_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return env
 
 
 @pytest.mark.parametrize("name", README_COMMANDS)
@@ -225,7 +233,7 @@ def test_readme_command_matches_golden_output(name):
     assert listed == {args for args, _ in README_COMMANDS.values()}
     done = subprocess.run(
         [sys.executable, "-m", "haarnewton", *args.split()],
-        capture_output=True, env=_child_env(), timeout=60,
+        capture_output=True, env=child_env(), timeout=60,
     )
     assert (done.returncode, done.stderr) == (code, b"")
     assert done.stdout == (GOLDEN / f"readme_{name}.txt").read_bytes()
@@ -433,7 +441,7 @@ def test_cli_and_readme_commands_leave_out_argparse_gettext_locale_and_json():
     commands.sort(key=lambda args: "json" in args)
     done = subprocess.run(
         [sys.executable, "-S", "-c", LEAN_IMPORT_CHECK, *commands],
-        capture_output=True, text=True, env=_child_env(), timeout=60,
+        capture_output=True, text=True, env=child_env(), timeout=60,
     )
     assert done.returncode == 0, done.stderr
     rows = json.loads(done.stdout)
@@ -459,7 +467,7 @@ ARGPARSE_PATHS = json.loads((GOLDEN / "argparse_paths.json").read_text())
 def test_argparse_path_matches_golden_output(tmp_path, case):
     done = subprocess.run(
         [sys.executable, "-m", "haarnewton", *case["argv"]],
-        capture_output=True, text=True, env=dict(_child_env(), COLUMNS="80"), cwd=tmp_path, timeout=60,
+        capture_output=True, text=True, env=dict(child_env(), COLUMNS="80"), cwd=tmp_path, timeout=60,
     )
     got = {"argv": case["argv"], "exit": done.returncode,
            "stdout": " ".join(done.stdout.split()), "stderr": " ".join(done.stderr.split())}

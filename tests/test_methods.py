@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import struct
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,6 +37,7 @@ from haarnewton.methods import (
 )
 
 from helpers import forbid_result_constructors
+from suite_formulas import FORMULAS
 
 QUADRATIC = Problem("x2-4", lambda x: x * x - 4.0, lambda x: 2.0 * x)
 
@@ -650,8 +652,7 @@ def test_iterate_runs_on_mpf_values(method):
     import mpmath
 
     with mpmath.workdps(60):
-        problem = Problem("x3-exp", lambda x: x**3 - mpmath.exp(-x),
-                          lambda x: 3 * x**2 + mpmath.exp(-x))
+        problem = Problem("f6", *(partial(formula, mpmath) for formula in FORMULAS["f6"]))
         criteria = StopCriteria(step_tol=1e-50, residual_tol=1e-55)
         outcome = iterate(method, problem, mpmath.mpf("0.9"), criteria)
         root = mpmath.findroot(problem.f, mpmath.mpf("0.77"))

@@ -8,6 +8,7 @@ of its float fractions shows for P that is not a power of two.
 """
 
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import pytest
@@ -15,6 +16,8 @@ import sympy
 
 from haarnewton.core import Problem, StopCriteria
 from haarnewton.methods import MethodId, iterate
+
+from suite_formulas import FORMULAS
 
 C2, C3, C4 = sympy.symbols("c2 c3 c4")
 TERMS = 4  # truncated power series in e: the coefficients of e^0 .. e^3
@@ -115,10 +118,15 @@ PRECISION_POINTS = (2, 3, 8)
 
 def _f6_pairs(points):
     """(c2, c3, [(e_n, e_{n+1})]) of new[P] on f6 at 120 digits, errors signed."""
-    problem = Problem("f6-mp", lambda x: x**3 - mpmath.exp(-x), lambda x: 3 * x**2 + mpmath.exp(-x))
+    f6, df6 = FORMULAS["f6"]
+    problem = Problem("f6", partial(f6, mpmath), partial(df6, mpmath))
     root = mpmath.findroot(problem.f, mpmath.mpf("0.77"))
-    slope, ex = problem.df(root), mpmath.exp(-root)
-    c2, c3 = (6 * root - ex) / (2 * slope), (6 + ex) / (6 * slope)
+    # c_k = f^(k)(root) / (k! f'(root)), with f'' and f''' from sympy on the table's f6'
+    x = sympy.Symbol("x")
+    d2 = sympy.diff(df6(sympy, x), x)
+    ddf, dddf = (sympy.lambdify(x, d, "mpmath")(root) for d in (d2, sympy.diff(d2, x)))
+    slope = problem.df(root)
+    c2, c3 = ddf / (2 * slope), dddf / (6 * slope)
     criteria = StopCriteria(step_tol=1e-100, residual_tol=1e-100)
     outcome = iterate(MethodId("new", points), problem, mpmath.mpf("0.9"), criteria)
     errors = [x - root for x in outcome.trace.iterates]

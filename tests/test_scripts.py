@@ -5,26 +5,23 @@ dependencies against pyproject.toml's ``test`` extra, and its console script
 against the CLI's entry point."""
 
 import importlib
-import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 from haarnewton import cli
 from haarnewton.bench import SUITE
 
-ROOT = Path(__file__).resolve().parent.parent
+from helpers import ROOT, child_env
+
 NAMES = [entry.problem.name for entry in SUITE]
 
 
 def run_script(name):
     """The script's (stdout, stderr) bytes, after checking that it exited 0."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name)],
-        capture_output=True, env=env, cwd=ROOT, timeout=120,
+        capture_output=True, env=child_env(), cwd=ROOT, timeout=120,
     )
     assert done.returncode == 0, done.stderr.decode()
     return done.stdout, done.stderr
