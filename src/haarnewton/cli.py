@@ -44,20 +44,23 @@ def _tol(text: str) -> float:
         raise _type_error(f"must be a finite number > 0, not {text!r}") from None
 
 
+def _x0(text: str) -> float:
+    """The type of --x0: a finite number, as ``iterate`` takes for a start."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise _type_error(f"must be a finite number, not {text!r}")
+    return value
+
+
 def _method(tag: str, args: SimpleNamespace) -> MethodId:
     return MethodId(tag, args.points or 2 * args.m, args.fs_variant)
 
 
 def _criteria(args: SimpleNamespace) -> StopCriteria:
     return StopCriteria(step_tol=args.tol, residual_tol=args.tol, max_iter=args.max_iter)
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
 
 
 def _run(args: SimpleNamespace):
@@ -67,7 +70,9 @@ def _run(args: SimpleNamespace):
     return entry, method, iterate(method, entry.problem, x0, _criteria(args))
 
 
-def cmd_solve(args: SimpleNamespace) -> int:
+# Each handler returns its exit code and the text that main writes to stdout
+# or to the --out file.
+def cmd_solve(args: SimpleNamespace) -> tuple[int, str]:
     entry, method, outcome = _run(args)
     lines = [
         f"function:   {entry.problem.name}",
@@ -84,11 +89,10 @@ def cmd_solve(args: SimpleNamespace) -> int:
                 f"  {i:3d}  x={analysis.format_significant(x)}"
                 f"  f(x)={analysis.format_significant(r)}"
             )
-    _emit("\n".join(lines) + "\n", args.out)
-    return STATUS_EXIT.get(outcome.status, EXIT_NOT_CONVERGED)
+    return STATUS_EXIT.get(outcome.status, EXIT_NOT_CONVERGED), "\n".join(lines) + "\n"
 
 
-def cmd_compare(args: SimpleNamespace) -> int:
+def cmd_compare(args: SimpleNamespace) -> tuple[int, str]:
     names = [n.strip() for n in args.functions.split(",") if n.strip()]
     labels = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not names:
@@ -101,11 +105,10 @@ def cmd_compare(args: SimpleNamespace) -> int:
     suite = [bench.suite_entry(name) for name in names]
     methods = [_method(label, args) for label in labels]
     table = bench.run_comparison(suite, methods, _criteria(args))
-    _emit(bench.format_table(table, args.format), args.out)
-    return EXIT_OK
+    return EXIT_OK, bench.format_table(table, args.format)
 
 
-def cmd_coc(args: SimpleNamespace) -> int:
+def cmd_coc(args: SimpleNamespace) -> tuple[int, str]:
     if (args.c2 is not None or args.c3 is not None) and args.method != "new":
         raise ValueError("--c2/--c3: the theoretical constant is defined for method 'new' only")
     if (args.c2 is None) != (args.c3 is None):
@@ -132,9 +135,9 @@ def cmd_coc(args: SimpleNamespace) -> int:
         if not math.isfinite(report.error_constant_theoretical):
             raise ValueError("--c2/--c3: the theoretical constant c2^2 - c3/(4P^2) is not finite")
         lines.append(f"theoretical constant: {report.error_constant_theoretical:.6g}")
-    _emit("\n".join(lines) + "\n", args.out)
     converged = outcome.status is Status.CONVERGED
-    return EXIT_OK if converged and math.isfinite(report.coc) else EXIT_NOT_CONVERGED
+    code = EXIT_OK if converged and math.isfinite(report.coc) else EXIT_NOT_CONVERGED
+    return code, "\n".join(lines) + "\n"
 
 
 _NODES = {
@@ -153,7 +156,7 @@ _ONE_RUN = {
     "--method": dict(required=True, choices=METHOD_TAGS),
 }
 # solve's and coc's only: compare starts every equation at its suite x0
-_X0 = dict(type=float, default=None, help="starting point override")
+_X0 = dict(type=_x0, default=None, help="starting point override")
 # Each subcommand's handler, help and options. An option maps to the keywords
 # of its add_argument call, which the exact parser reads as well; --trace is
 # the one flag, every other option takes a value.
@@ -246,8 +249,42 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args is None:
         args = build_parser().parse_args(argv, SimpleNamespace())
     try:
-        return COMMANDS[args.command][0](args)
-    # a handler's or the library's check of the options, or an --out path that cannot be opened
+        code, text = COMMANDS[args.command][0](args)
+        if args.out is not None:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+    # a handler's or the library's check of the options, or an --out path that
+    # cannot be opened or written; a failed write to stdout is not a usage error
     except (ValueError, OSError) as exc:
         _parsers()[1][args.command].error(str(exc))
+    if args.out is None:
+        sys.stdout.write(text)
+    return code
+
+
+def run() -> int:
+    """The process entry of ``python -m haarnewton`` and of the ``haarnewton``
+    script: ``main()``, then the atexit handlers and a flush of stdout and
+    stderr, then ``os._exit``, which skips the interpreter's teardown. Under a
+    profiler or tracer (``sys.monitoring`` tools included) or a bdb debugger,
+    or when a flush raises, it returns the exit code for ``sys.exit``
+    instead, and the interpreter ends as usual."""
+    code = main()
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+, where cProfile registers a tool
+    if (sys.getprofile() is not None or sys.gettrace() is not None
+            or monitoring and any(monitoring.get_tool(tool) for tool in range(6))  # tool ids 0-5
+            # pdb drops its tracer on a continue with no breakpoints, and
+            # reports the exit only when SystemExit reaches it
+            or "bdb" in sys.modules):
+        return code
+    import atexit
+    import os
+
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a failed write, or a stream an atexit handler closed
+        return code
+    os._exit(code)
 

@@ -101,6 +101,18 @@ def test_count_option_below_one_names_the_option(capsys, option, value):
     assert f"haarnewton solve: error: argument {option}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "coc"])
+@pytest.mark.parametrize("x0, text", [(["--x0", "inf"], "inf"), (["--x0", "nan"], "nan"),
+                                      (["--x0=-inf"], "-inf"), (["--x0", "1e999"], "1e999"),
+                                      (["--x0", "abc"], "abc")], ids=["inf", "nan", "-inf", "1e999", "abc"])
+def test_x0_that_is_not_a_finite_number_names_the_option(capsys, command, x0, text):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--function", "f1", "--method", "new", *x0])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"haarnewton {command}: error: argument --x0: must be a finite number, not {text!r}\n")
+
+
 def test_solve_trace_lists_iterates(capsys):
     code, out = run_cli(
         capsys, "solve", "--function", "f7", "--method", "new", "--trace"
@@ -237,6 +249,90 @@ def test_readme_command_matches_golden_output(name):
     )
     assert (done.returncode, done.stderr) == (code, b"")
     assert done.stdout == (GOLDEN / f"readme_{name}.txt").read_bytes()
+
+
+def run_python(*argv, stdout=subprocess.PIPE, env=None, stdin=b""):
+    """``python ARGV`` in a child process running this copy of haarnewton."""
+    return subprocess.run([sys.executable, *argv], input=stdin, stdout=stdout, stderr=subprocess.PIPE,
+                          env=env or child_env(), timeout=60)
+
+
+# python -m haarnewton ends through cli.run, which skips the interpreter's
+# teardown; what a process leaves behind must be what main and a normal exit give.
+@pytest.mark.parametrize("args, code", [
+    ("solve --function f3 --method newton --x0 3", 2),
+    ("coc --function f3 --method wf", 2),
+    ("solve --function f4 --method newton --x0 30", 3),  # a derivative breakdown
+], ids=["solve-diverged", "coc-diverged", "solve-breakdown"])
+def test_process_exit_code_and_stdout_match_main(capsys, args, code):
+    assert main(args.split()) == code
+    done = run_python("-m", "haarnewton", *args.split())
+    assert (done.returncode, done.stdout, done.stderr) == (code, capsys.readouterr().out.encode(), b"")
+
+
+def test_process_writes_the_whole_out_file(tmp_path):
+    target = tmp_path / "grid.csv"
+    done = run_python("-m", "haarnewton", *README_COMMANDS["compare_csv"][0].split(), "--out", str(target))
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    assert target.read_bytes() == (GOLDEN / "readme_compare_csv.txt").read_bytes()
+
+
+RUN_AFTER_ATEXIT_REGISTRATION = """
+import atexit, runpy
+atexit.register(print, "atexit handler ran")
+runpy.run_module("haarnewton", run_name="__main__")
+"""
+
+
+def test_process_runs_atexit_handlers_registered_before_it():
+    args, code = README_COMMANDS["solve_f2_new"]
+    done = run_python("-c", RUN_AFTER_ATEXIT_REGISTRATION, *args.split())
+    assert (done.returncode, done.stderr) == (code, b"")
+    assert done.stdout == (GOLDEN / "readme_solve_f2_new.txt").read_bytes() + b"atexit handler ran\n"
+
+
+def test_process_under_cprofile_prints_its_stats():
+    args, code = README_COMMANDS["solve_f2_new"]
+    done = run_python("-m", "cProfile", "-m", "haarnewton", *args.split())
+    golden = (GOLDEN / "readme_solve_f2_new.txt").read_bytes()
+    assert (done.returncode, done.stderr) == (code, b"")
+    assert done.stdout.startswith(golden)
+    assert b" function calls " in done.stdout[len(golden):]
+
+
+def test_process_under_pdb_reports_its_exit():
+    # a continue with no breakpoints drops pdb's tracer; pdb still sees SystemExit
+    args, code = README_COMMANDS["solve_f2_new"]
+    done = run_python("-m", "pdb", "-m", "haarnewton", *args.split(), stdin=b"continue\nquit\n")
+    assert (done.returncode, done.stderr) == (code, b"")
+    assert f"The program exited via sys.exit(). Exit status: {code}".encode() in done.stdout
+
+
+def _into_closed_pipe(unbuffered, *argv):
+    read, write = os.pipe()
+    os.close(read)
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        return run_python(*argv, stdout=write, env=env)
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_failed_write_to_stdout_ends_as_a_plain_script_does(unbuffered):
+    # a write to stdout that fails is not a usage error: buffered, the flush
+    # at exit fails and the interpreter exits 120; unbuffered, the write raises
+    done = _into_closed_pipe(unbuffered, "-m", "haarnewton", *README_COMMANDS["solve_f2_new"][0].split())
+    plain = _into_closed_pipe(unbuffered, "-c", "import sys; sys.stdout.write('x' * 80)")
+    assert not any(line.startswith(b"usage:") for line in done.stderr.splitlines()), done.stderr
+    assert done.returncode == plain.returncode == (1 if unbuffered else 120)
+    if unbuffered:  # a traceback through other frames, ending the same
+        assert done.stderr.splitlines()[-1] == plain.stderr.splitlines()[-1] == b"BrokenPipeError: [Errno 32] Broken pipe"
+    else:
+        assert done.stderr == plain.stderr
 
 
 # perfbench's traced CLI pass replaces these six module attributes with

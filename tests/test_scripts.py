@@ -2,7 +2,7 @@
 convergence_diagnostics.py against its golden stdout; the README lists
 exactly the scripts there are. Also the CI workflow's pinned test
 dependencies against pyproject.toml's ``test`` extra, and its console script
-against the CLI's entry point."""
+against the CLI's process entry."""
 
 import importlib
 import re
@@ -66,9 +66,10 @@ def test_readme_lists_exactly_the_scripts():
 
 
 def test_console_script_resolves_to_cli_main():
-    # a regex, not tomllib: Python 3.10 has no tomllib
+    # the process entry, as python -m haarnewton runs it, not the in-process
+    # main; a regex, not tomllib: Python 3.10 has no tomllib
     pyproject = (ROOT / "pyproject.toml").read_text()
     scripts = re.search(r"^\[project\.scripts\]\n((?:[^[\n].*\n)*)", pyproject, re.M).group(1)
     [(name, module, attr)] = re.findall(r'^(\S+) = "([\w.]+):(\w+)"$', scripts, re.M)
     assert name == "haarnewton"
-    assert getattr(importlib.import_module(module), attr) is cli.main
+    assert getattr(importlib.import_module(module), attr) is cli.run
