@@ -2,7 +2,7 @@
 
 import math
 
-from .core import _BREAKDOWN, _CONVERGED, FrozenRecord, Outcome, Trace, _new, as_count
+from .core import _BREAKDOWN, _CONVERGED, FrozenRecord, Outcome, Trace, _builder, as_count
 
 # Windows keeping the diagnostics in the asymptotic regime: third-order
 # methods hit roundoff within a handful of steps, so pre-asymptotic and
@@ -24,8 +24,7 @@ class ConvergenceReport(FrozenRecord):
         self._store(coc, error_constant_empirical, error_constant_theoretical, usable_triples)
 
 
-_set_coc, _set_empirical, _set_theoretical, _set_triples = (
-    ConvergenceReport.__dict__[name].__set__ for name in ConvergenceReport.__slots__)
+_ReportBuilder = _builder(ConvergenceReport)
 
 
 def theoretical_error_constant(c2: float, c3: float, n_points: int) -> float:
@@ -63,11 +62,12 @@ def convergence_report(
                 and e1 > CONSTANT_NEXT_MIN):
             constant = e1 / e0**3
         e1, e2 = e0, e1
-    report = _new(ConvergenceReport)  # filled through the slot setters, skipping __init__
-    _set_coc(report, rho if len(trace.iterates) >= 4 else math.nan)
-    _set_empirical(report, constant)
-    _set_theoretical(report, theoretical)
-    _set_triples(report, triples)
+    report = _ReportBuilder()  # filled with plain slot stores, skipping __init__
+    report.coc = rho if len(trace.iterates) >= 4 else math.nan
+    report.error_constant_empirical = constant
+    report.error_constant_theoretical = theoretical
+    report.usable_triples = triples
+    report.__class__ = ConvergenceReport
     return report
 
 

@@ -44,8 +44,9 @@ def _tol(text: str) -> float:
         raise _type_error(f"must be a finite number > 0, not {text!r}") from None
 
 
-def _x0(text: str) -> float:
-    """The type of --x0: a finite number, as ``iterate`` takes for a start."""
+def _finite(text: str) -> float:
+    """The type of --x0, --c2 and --c3: a finite number, as ``iterate`` takes for a
+    start and ``analysis.convergence_report`` for the constants."""
     try:
         value = float(text)
     except ValueError:
@@ -113,8 +114,6 @@ def cmd_coc(args: SimpleNamespace) -> tuple[int, str]:
         raise ValueError("--c2/--c3: the theoretical constant is defined for method 'new' only")
     if (args.c2 is None) != (args.c3 is None):
         raise ValueError("--c2/--c3: give both constants or neither")
-    if args.c2 is not None and not (math.isfinite(args.c2) and math.isfinite(args.c3)):
-        raise ValueError("--c2/--c3: the constants must be finite numbers")
     entry, method, outcome = _run(args)
     report = analysis.convergence_report(
         outcome.trace,
@@ -156,7 +155,7 @@ _ONE_RUN = {
     "--method": dict(required=True, choices=METHOD_TAGS),
 }
 # solve's and coc's only: compare starts every equation at its suite x0
-_X0 = dict(type=_x0, default=None, help="starting point override")
+_X0 = dict(type=_finite, default=None, help="starting point override")
 # Each subcommand's handler, help and options. An option maps to the keywords
 # of its add_argument call, which the exact parser reads as well; --trace is
 # the one flag, every other option takes a value.
@@ -176,8 +175,8 @@ COMMANDS = {
     }),
     "coc": (cmd_coc, "convergence-order diagnostics for one run", {
         **_ONE_RUN,
-        "--c2": dict(type=float, default=None, help="analytic f''(root)/(2 f'(root)); new only"),
-        "--c3": dict(type=float, default=None, help="analytic f'''(root)/(6 f'(root)); new only"),
+        "--c2": dict(type=_finite, default=None, help="analytic f''(root)/(2 f'(root)); new only"),
+        "--c3": dict(type=_finite, default=None, help="analytic f'''(root)/(6 f'(root)); new only"),
         **_NODES, "--x0": _X0, **_COMMON,
     }),
 }

@@ -59,7 +59,8 @@ class Record:
 class FrozenRecord(Record):
     """Immutable ``Record``, hashable when its fields are: ``__init__`` stores through
     ``_store``, and the result builders (``_outcome``, ``analysis.convergence_report``) skip
-    it with bound slot setters; assignment and deletion raise ``AttributeError``."""
+    it, filling a fresh object of a ``_builder`` subclass; assignment and deletion raise
+    ``AttributeError``."""
 
     __slots__ = ()
 
@@ -180,10 +181,24 @@ class Outcome(FrozenRecord):
         return trace
 
 
-_set_status, _set_root, _set_iterations, _set_nfe, _set_trace, _set_raw = (
-    Outcome.__dict__[name].__set__ for name in Outcome.__slots__)
+# the lazy trace changes an outcome that callers may already hold, so it keeps to these
+_set_trace, _set_raw = (Outcome.__dict__[name].__set__ for name in ("_trace", "_raw"))
 
 _new = object.__new__
+
+
+def _builder(cls: type) -> type:
+    """A private subclass of the frozen record ``cls`` whose fresh objects take plain slot
+    stores: it adds no slot, and its ``__init__``, ``__setattr__`` and ``__delattr__`` are
+    object's. Both of the last two must be, or ``tp_setattro`` stays the slot that
+    dispatches in Python and a store costs ~145 ns, not ~10. A result builder fills a fresh
+    object of it and sets its ``__class__`` to ``cls`` before returning it."""
+    return type(f"_{cls.__name__}Builder", (cls,), {
+        "__slots__": (), "__init__": object.__init__,
+        "__setattr__": object.__setattr__, "__delattr__": object.__delattr__})
+
+
+_OutcomeBuilder = _builder(Outcome)
 
 
 def _outcome(status: Status, root: float, iterations: int, iterates: list[float],
@@ -191,12 +206,13 @@ def _outcome(status: Status, root: float, iterations: int, iterates: list[float]
     """``Outcome(status, root, iterations, n_f + n_df, Trace(iterates, residuals,
     EvalCounters(n_f, n_df, n_diag)))`` as one object and no ``__init__``: ``iterate``'s
     return path. The rest stays raw for ``Outcome.trace``: an unread trace is never built."""
-    outcome = _new(Outcome)
-    _set_status(outcome, status)
-    _set_root(outcome, root)
-    _set_iterations(outcome, iterations)
-    _set_nfe(outcome, n_f + n_df)
-    _set_raw(outcome, (iterates, residuals, n_f, n_df, n_diag))
+    outcome = _OutcomeBuilder()
+    outcome.status = status
+    outcome.root = root
+    outcome.iterations = iterations
+    outcome.nfe = n_f + n_df
+    outcome._raw = (iterates, residuals, n_f, n_df, n_diag)
+    outcome.__class__ = Outcome
     return outcome
 
 

@@ -474,18 +474,21 @@ def test_coc_one_constant_without_the_other_is_a_usage_error(capsys, constant):
 
 
 @pytest.mark.parametrize(
-    "constants",
-    [("--c2", "0.5", "--c3", "nan"), ("--c2", "inf", "--c3", "1"), ("--c2", "0.5", "--c3=-inf")],
-    ids=["nan", "inf", "-inf"],
+    "constants, option, text",
+    [(("--c2", "0.5", "--c3", "nan"), "--c3", "nan"), (("--c2", "inf", "--c3", "1"), "--c2", "inf"),
+     (("--c2", "0.5", "--c3=-inf"), "--c3", "-inf"), (("--c2", "abc", "--c3", "1"), "--c2", "abc")],
+    ids=["nan", "inf", "-inf", "abc"],
 )
-def test_coc_non_finite_constant_is_a_usage_error(capsys, constants):
+def test_coc_non_finite_constant_is_a_usage_error(capsys, constants, option, text):
+    # the constants take --x0's converter: not a number and not finite read alike
     with pytest.raises(SystemExit) as info:
         main(["coc", "--function", "f6", "--method", "new", *constants])
     captured = capsys.readouterr()
     assert info.value.code == 1
     assert captured.out == ""
     assert captured.err.startswith("usage: haarnewton coc ")
-    assert "haarnewton coc: error: --c2/--c3: the constants must be finite numbers" in captured.err
+    assert captured.err.endswith(
+        f"haarnewton coc: error: argument {option}: must be a finite number, not {text!r}\n")
 
 
 @pytest.mark.parametrize("c2", ["--c2=1e200", "--c2=-1e200"])

@@ -21,7 +21,7 @@ from haarnewton.core import (
     evaluate_df,
     evaluate_f,
 )
-from haarnewton.analysis import classify
+from haarnewton.analysis import ConvergenceReport, classify, convergence_report
 from haarnewton.bench import builtin_suite, suite_entry
 from haarnewton.methods import (
     METHOD_TAGS,
@@ -316,6 +316,36 @@ def test_iterate_result_is_the_one_the_public_constructors_build(path, monkeypat
     counters.n_f += 1
     counters.n_diag += 1
     assert again == built and repr(again) == repr(built)
+
+
+def _built_results(path):
+    """``iterate``'s result on the exit path, or a converged run's report, with its class."""
+    if path == "convergence-report":
+        f4 = suite_entry("f4")
+        outcome = iterate(MethodId("new"), f4.problem, f4.x0)
+        return convergence_report(outcome.trace, outcome.root, c2=0.5, c3=0.1), ConvergenceReport
+    problem, x0, criteria, _ = EXIT_PATHS[path]
+    return iterate(MethodId("newton"), problem, x0, criteria), Outcome
+
+
+@pytest.mark.parametrize("path", [*EXIT_PATHS, "convergence-report"])
+def test_built_results_are_the_public_frozen_records(path):
+    # the builders fill a private subclass with plain stores; what they return must be
+    # the public class again, with its refusal of every assignment and deletion
+    result, record = _built_results(path)
+
+    def assert_frozen():
+        assert type(result) is record
+        for name in {*record._fields, *record.__slots__}:
+            with pytest.raises(AttributeError):
+                setattr(result, name, None)
+            with pytest.raises(AttributeError):
+                delattr(result, name)
+
+    assert_frozen()
+    if record is Outcome:
+        result.trace  # the first read stores the trace through its slot setter
+        assert_frozen()
 
 
 @pytest.mark.parametrize("path", EXIT_PATHS)
