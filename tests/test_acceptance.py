@@ -8,8 +8,6 @@ rather than being loosened; see the repository README.
 
 import math
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -31,7 +29,7 @@ from haarnewton.methods import (
 )
 from haarnewton.quadrature import haar_indefinite_integral
 
-from helpers import child_env
+from helpers import run_python
 
 WF = MethodId("wf")
 FS_PRINTED = MethodId("fs", fs_variant=FsVariant.AS_PRINTED)
@@ -83,6 +81,8 @@ REFERENCE_DIVERGENT = [
     ("f2", OZ),
     ("f3", OZ),
 ]
+DIVERGENT_IDS = [f"{n}-{m.label}-{m.fs_variant.value}" if m.tag == "fs" else f"{n}-{m.label}"
+                 for n, m in REFERENCE_DIVERGENT]
 
 
 def report(n, ok, detail=""):
@@ -122,12 +122,7 @@ def test_criterion_2_iteration_and_cost_accounting():
     assert not failures
 
 
-@pytest.mark.parametrize(
-    "name, method",
-    REFERENCE_DIVERGENT,
-    ids=[f"{n}-{m.label}-{m.fs_variant.value}" if m.tag == "fs" else f"{n}-{m.label}"
-         for n, m in REFERENCE_DIVERGENT],
-)
+@pytest.mark.parametrize("name, method", REFERENCE_DIVERGENT, ids=DIVERGENT_IDS)
 def test_criterion_3_divergence_reproduction(name, method):
     outcome = run_cell(name, method)
     ok = outcome.status is not Status.CONVERGED
@@ -225,9 +220,8 @@ def test_criterion_7_structural_identities():
 
 
 def test_criterion_8_determinism():
-    cmd = [sys.executable, "-m", "haarnewton", "compare", "--format", "csv"]
-    first = subprocess.run(cmd, capture_output=True, check=True, env=child_env()).stdout
-    second = subprocess.run(cmd, capture_output=True, check=True, env=child_env()).stdout
-    ok = first == second and len(first) > 0
+    first, second = (run_python("-m", "haarnewton", "compare", "--format", "csv") for _ in range(2))
+    assert first.returncode == second.returncode == 0, (first.stderr, second.stderr)
+    ok = first.stdout == second.stdout and len(first.stdout) > 0
     report(8, ok)
     assert ok

@@ -1,6 +1,5 @@
 import json
 import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -13,7 +12,7 @@ from haarnewton.bench import FORMATS
 from haarnewton.cli import main
 from haarnewton.methods import METHOD_TAGS
 
-from helpers import ROOT, child_env
+from helpers import ROOT, run_python
 
 
 def run_cli(capsys, *argv):
@@ -243,18 +242,16 @@ def test_readme_command_matches_golden_output(name):
     listed = {line.partition("#")[0].split(maxsplit=1)[1].strip()
               for line in readme if line.startswith("haarnewton ")}
     assert listed == {args for args, _ in README_COMMANDS.values()}
-    done = subprocess.run(
-        [sys.executable, "-m", "haarnewton", *args.split()],
-        capture_output=True, env=child_env(), timeout=60,
-    )
+    done = run_python("-m", "haarnewton", *args.split())
     assert (done.returncode, done.stderr) == (code, b"")
     assert done.stdout == (GOLDEN / f"readme_{name}.txt").read_bytes()
 
 
-def run_python(*argv, stdout=subprocess.PIPE, env=None, stdin=b""):
-    """``python ARGV`` in a child process running this copy of haarnewton."""
-    return subprocess.run([sys.executable, *argv], input=stdin, stdout=stdout, stderr=subprocess.PIPE,
-                          env=env or child_env(), timeout=60)
+def test_child_process_runs_under_this_warnings_policy():
+    # a plain pytest starts plain children, python -X dev -W error -m pytest strict ones
+    done = run_python("-c", "import sys, warnings; print(sys.flags.dev_mode); warnings.warn('x', DeprecationWarning)")
+    assert (done.returncode != 0) == ("error" in sys.warnoptions), done.stderr.decode()
+    assert done.stdout == f"{sys.flags.dev_mode}\n".encode()
 
 
 # python -m haarnewton ends through cli.run, which skips the interpreter's
@@ -311,12 +308,8 @@ def test_process_under_pdb_reports_its_exit():
 def _into_closed_pipe(unbuffered, *argv):
     read, write = os.pipe()
     os.close(read)
-    env = child_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
     try:
-        return run_python(*argv, stdout=write, env=env)
+        return run_python(*argv, stdout=write, env={"PYTHONUNBUFFERED": "1" if unbuffered else None})
     finally:
         os.close(write)
 
@@ -538,11 +531,8 @@ sys.exit(code)
 def test_cli_and_readme_commands_leave_out_argparse_gettext_locale_and_json():
     commands = [args for args, _ in README_COMMANDS.values()]
     commands.sort(key=lambda args: "json" in args)
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", LEAN_IMPORT_CHECK, *commands],
-        capture_output=True, text=True, env=child_env(), timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
+    done = run_python("-S", "-c", LEAN_IMPORT_CHECK, *commands)
+    assert done.returncode == 0, done.stderr.decode()
     rows = json.loads(done.stdout)
     assert [(r["function"], r["method"]) for r in rows] == [("f6", "new")]
 
@@ -564,12 +554,9 @@ ARGPARSE_PATHS = json.loads((GOLDEN / "argparse_paths.json").read_text())
 
 @pytest.mark.parametrize("case", ARGPARSE_PATHS, ids=lambda case: "_".join(case["argv"]) or "no-arguments")
 def test_argparse_path_matches_golden_output(tmp_path, case):
-    done = subprocess.run(
-        [sys.executable, "-m", "haarnewton", *case["argv"]],
-        capture_output=True, text=True, env=dict(child_env(), COLUMNS="80"), cwd=tmp_path, timeout=60,
-    )
+    done = run_python("-m", "haarnewton", *case["argv"], env={"COLUMNS": "80"}, cwd=tmp_path)
     got = {"argv": case["argv"], "exit": done.returncode,
-           "stdout": " ".join(done.stdout.split()), "stderr": " ".join(done.stderr.split())}
+           "stdout": " ".join(done.stdout.decode().split()), "stderr": " ".join(done.stderr.decode().split())}
     assert got == case
 
 

@@ -1,3 +1,11 @@
+"""The wavelet-collocation quadrature, including its derivation from a Haar
+series: ``test_haar_series_integral_is_the_midpoint_sum`` checks, in exact
+arithmetic, that integrating the Haar series which collocates g at the 2M
+points (l - 1/2)/2M gives the midpoint sum ``haar_indefinite_integral``
+computes, the formula as Siraj-ul-Islam, Aziz & Šarler (Math. Comput.
+Modelling 52, 2010) and Aziz & Siraj-ul-Islam (J. Comput. Appl. Math. 239,
+2013) state it."""
+
 import math
 from fractions import Fraction
 
@@ -121,3 +129,56 @@ def test_second_order_error_decay_on_exp(scale):
     for coarse, fine in zip(errors, errors[1:]):
         assert 0.2 < fine / coarse < 0.3
 
+
+def haar_functions(size):
+    """The first ``size`` Haar functions on [0, 1], each with its integral over
+    [0, 1]: the scaling function, then level by level (m = 1, 2, 4, ...) the m
+    wavelets h(mx - k), +1 on [k/m, (k + 1/2)/m), -1 on [(k + 1/2)/m, (k + 1)/m)
+    and 0 elsewhere."""
+    half = Fraction(1, 2)
+    functions = [(lambda x: 1 if 0 <= x < 1 else 0, Fraction(1))]
+    m = 1
+    while len(functions) < size:
+        for k in range(m):
+            def wavelet(x, m=m, k=k):
+                return 1 if 0 <= m * x - k < half else -1 if half <= m * x - k < 1 else 0
+
+            functions.append((wavelet, half / m - (1 - half) / m))
+        m *= 2
+    return functions
+
+
+def solve_exactly(matrix, rhs):
+    """The x with matrix·x = rhs, by Gauss-Jordan elimination over Fractions."""
+    rows = [[*row, value] for row, value in zip(matrix, rhs)]
+    for col in range(len(rows)):
+        pivot = next(r for r in range(col, len(rows)) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r, row in enumerate(rows):
+            if r != col and row[col]:
+                factor = row[col] / rows[col][col]
+                rows[r] = [u - factor * v for u, v in zip(row, rows[col])]
+    return [row[-1] / row[i] for i, row in enumerate(rows)]
+
+
+def haar_series_integral(g, a, b, size):
+    """The integral over [a, b] of the Haar series through g's values at the
+    ``size`` = 2M collocation points a + (b - a)(l - 1/2)/2M."""
+    functions = haar_functions(size)
+    nodes = [Fraction(2 * l - 1, 2 * size) for l in range(1, size + 1)]
+    coefficients = solve_exactly([[h(t) for h, _ in functions] for t in nodes],
+                                 [g(a + (b - a) * t) for t in nodes])
+    return (b - a) * sum(c * integral for c, (_, integral) in zip(coefficients, functions))
+
+
+@pytest.mark.parametrize("size", [2, 4, 8, 16])
+def test_haar_series_integral_is_the_midpoint_sum(size):
+    def cubic(x):
+        return 2 * x**3 - 5 * x**2 + x - 7
+
+    for a, b in [(Fraction(0), Fraction(1)), (Fraction(-3, 4), Fraction(5, 2))]:
+        nodes = [a + (b - a) * Fraction(2 * l - 1, 2 * size) for l in range(1, size + 1)]
+        assert haar_series_integral(cubic, a, b, size) == (b - a) / size * sum(map(cubic, nodes)), (a, b)
+    # x*x at these nodes, its sum and the 1/2M scaling are exact in floats
+    square = haar_series_integral(lambda x: x * x, Fraction(0), Fraction(1), size)
+    assert Fraction(haar_indefinite_integral(lambda t: t * t, 0.0, 1.0, size)) == square

@@ -1,28 +1,26 @@
 """The experiment script runs against the package in src/: a smoke test, and
 convergence_diagnostics.py against its golden stdout; the README lists
 exactly the scripts there are. Also the CI workflow's pinned test
-dependencies against pyproject.toml's ``test`` extra, and its console script
-against the CLI's process entry."""
+dependencies against pyproject.toml's ``test`` extra, its expected failures
+against the criterion-3 runs, and the console script against the CLI's
+process entry."""
 
 import importlib
 import re
-import subprocess
-import sys
 
 from haarnewton import cli
 from haarnewton.bench import SUITE
+from haarnewton.core import Status
 
-from helpers import ROOT, child_env
+from helpers import ROOT, run_python
+from test_acceptance import DIVERGENT_IDS, REFERENCE_DIVERGENT, run_cell
 
 NAMES = [entry.problem.name for entry in SUITE]
 
 
 def run_script(name):
     """The script's (stdout, stderr) bytes, after checking that it exited 0."""
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name)],
-        capture_output=True, env=child_env(), cwd=ROOT, timeout=120,
-    )
+    done = run_python(str(ROOT / "scripts" / name), cwd=ROOT, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
     return done.stdout, done.stderr
 
@@ -56,6 +54,17 @@ def test_ci_pins_exactly_the_test_extra():
     pins = [re.fullmatch(r"([\w.-]+)==[\w.]+", spec) for spec in install.split()]
     assert all(pins), f"not every package is pinned: {install}"
     assert sorted(pin.group(1) for pin in pins) == sorted(extra)
+
+
+def test_ci_expects_exactly_the_criterion_3_cells_that_converge():
+    # the by-design failures: the cells the reference table records as
+    # divergent whose run converges from the suite start
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    assert 'f"tests.test_acceptance::test_criterion_3_divergence_reproduction[{cell}]"' in workflow
+    [cells] = re.findall(r"^\s*for cell in \((.*)\)$", workflow, re.M)
+    converging = {cell for cell, (name, method) in zip(DIVERGENT_IDS, REFERENCE_DIVERGENT)
+                  if run_cell(name, method).status is Status.CONVERGED}
+    assert set(re.findall(r'"([^"]+)"', cells)) == converging
 
 
 def test_readme_lists_exactly_the_scripts():
