@@ -3,7 +3,9 @@
 The rule places 2M equally spaced midpoint-style nodes on [a, b], where
 M = 2^j1 and j1 is the maximum resolution level. Structurally it is a
 composite midpoint rule, so it is exact on affine integrands and
-second-order accurate on smooth ones.
+second-order accurate on smooth ones. Integrating the Haar series that
+collocates the integrand at those nodes gives exactly this sum; see
+tests/test_quadrature.py::test_haar_series_integral_is_the_midpoint_sum.
 """
 
 from collections.abc import Callable

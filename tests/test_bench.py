@@ -2,7 +2,6 @@ import importlib.util
 import json
 import math
 import random
-import struct
 import sys
 from functools import partial
 
@@ -22,6 +21,7 @@ from haarnewton.bench import (
 from haarnewton.core import StopCriteria
 from haarnewton.methods import FsVariant, MethodId
 
+from goldens import bits, suite_bits
 from helpers import ROOT, parse_csv
 from suite_formulas import FORMULAS
 
@@ -63,57 +63,22 @@ def test_derivatives_match_finite_differences(name, x):
     assert problem.df(x) == pytest.approx(numeric, rel=1e-8, abs=1e-8)
 
 
-ROOTS = [-1.16730397826142, 0.739085133215161, 0.0, 0.101025848315685, 1.67963061042845,
-         0.77288295914921, 1.29269571937339]
-
-
-def _float_sample():
-    rng = random.Random(5)
-    xs = [0.0, -0.0, math.inf, -math.inf, math.nan]
-    xs += [rng.uniform(-10.0, 10.0) for _ in range(2000)]
-    xs += [math.copysign(10.0 ** rng.uniform(-300.0, 300.0), rng.random() - 0.5)
-           for _ in range(2000)]
-    xs += [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(2000)]
-    for root in ROOTS:
-        xs += [root + rng.uniform(-1e-6, 1e-6) for _ in range(100)]
-        x = root
-        for _ in range(50):
-            x = math.nextafter(x, math.inf)
-            xs += [x, 2.0 * root - x]
-    return xs
-
-
-FLOAT_SAMPLE = _float_sample()
 _ints = random.Random(6)
 INT_SAMPLE = [0, 1, -1, 2707, -2707, 9749, -9749, 10**5, -(10**5)] + [
     _ints.randint(-(10**5), 10**5) for _ in range(500)
 ]
 
 
-def _result(fn, x):
-    """float.hex of fn(x), "nan" for any NaN, or the exception's class and message."""
-    try:
-        y = fn(x)
-    except Exception as exc:
-        return type(exc), str(exc)
-    return "nan" if math.isnan(y) else y.hex()
-
-
-# bench.SUITE writes x**5.0 and binds the math names; this pins it to the printed formulas' bits
 @pytest.mark.parametrize("name", list(FORMULAS))
 def test_suite_callables_give_the_printed_formulas_bits(name):
-    problem = suite_entry(name).problem
-    for ours, formula in zip((problem.f, problem.df), FORMULAS[name]):
-        printed = partial(formula, math)
-        wrong = [x for x in FLOAT_SAMPLE if _result(ours, x) != _result(printed, x)]
-        assert not wrong, f"{name}: {len(wrong)} values differ, first {wrong[:5]}"
+    suite_bits(name)
 
 
 @pytest.mark.parametrize("name", list(FORMULAS))
 def test_suite_callables_treat_an_int_as_its_float(name):
     problem = suite_entry(name).problem
     for fn in (problem.f, problem.df):
-        wrong = [n for n in INT_SAMPLE if _result(fn, n) != _result(fn, float(n))]
+        wrong = [n for n in INT_SAMPLE if bits(fn, n) != bits(fn, float(n))]
         assert not wrong, f"{name}: {len(wrong)} ints differ, first {wrong[:5]}"
 
 

@@ -15,10 +15,8 @@ from types import SimpleNamespace
 import pytest
 from mpmath import iv
 
-from helpers import ROOT
+from goldens import GOLDEN
 from suite_formulas import FORMULAS
-
-GOLDEN = ROOT / "tests" / "golden"
 
 # mpmath.iv has no atan. atan is odd and increasing, so atan(y) has the sign of
 # y: f3 = atan(x) is read here only for its sign, and f3′ needs no atan.

@@ -1,7 +1,7 @@
+import ast
 import json
 import os
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +12,8 @@ from haarnewton.bench import FORMATS
 from haarnewton.cli import main
 from haarnewton.methods import METHOD_TAGS
 
+import goldens
+from goldens import GOLDEN, README_COMMANDS
 from helpers import ROOT, run_python
 
 
@@ -121,27 +123,6 @@ def test_solve_trace_lists_iterates(capsys):
     assert len(trace_lines) >= 4  # x0 plus at least three iterates
 
 
-def test_compare_csv_grid(capsys):
-    code, out = run_cli(capsys, "compare", "--format", "csv")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "function,x0,method,status,iterations,nfe,root"
-    assert len(lines) == 36
-
-
-def test_compare_single_cell_json(capsys):
-    code, out = run_cli(
-        capsys, "compare", "--functions", "f6", "--methods", "new",
-        "--m", "1", "--format", "json",
-    )
-    assert code == 0
-    rows = json.loads(out)
-    assert len(rows) == 1
-    assert rows[0]["iterations"] == 4
-    assert rows[0]["nfe"] == 16
-    assert abs(float(rows[0]["root"]) - 0.77288295914921) < 1e-12
-
-
 def test_compare_fs_standard_variant(capsys):
     code, out = run_cli(
         capsys, "compare", "--methods", "fs", "--fs-variant", "standard-midpoint",
@@ -196,55 +177,15 @@ def test_m_and_points_are_equivalent(capsys):
     assert via_m == via_points
 
 
-def test_csv_output_round_trips_to_identical_bytes(capsys):
-    from haarnewton.bench import format_table
-    from helpers import parse_csv
-
-    _, out = run_cli(capsys, "compare", "--format", "csv")
-    assert format_table(parse_csv(out), "csv") == out
-
-
-# Generated with
-#   python -m haarnewton compare --methods newton,wf,fs,oz,klw,new \
-#       --format FORMAT --fs-variant VARIANT > tests/golden/grid_VARIANT.EXT
-# for FORMAT csv, text and json (EXT csv, txt and json).
-# A change that alters these bytes must say so and regenerate them.
-GOLDEN = Path(__file__).parent / "golden"
-
-
 @pytest.mark.parametrize("variant", ["as-printed", "standard-midpoint"])
-def test_compare_grid_matches_golden_bytes(capsys, variant):
-    for fmt, ext in [("csv", "csv"), ("text", "txt"), ("json", "json")]:
-        code, out = run_cli(
-            capsys, "compare", "--methods", "newton,wf,fs,oz,klw,new",
-            "--format", fmt, "--fs-variant", variant,
-        )
-        assert code == 0
-        assert out.encode() == (GOLDEN / f"grid_{variant}.{ext}").read_bytes(), fmt
-
-
-# The five README commands, run as ``python -m haarnewton`` processes, with the
-# exit code of each; stdout was generated with
-#   python -m haarnewton ARGS > tests/golden/readme_NAME.txt
-README_COMMANDS = {
-    "solve_f2_new": ("solve --function f2 --method new --m 1", 0),
-    "solve_f6_klw_trace": ("solve --function f6 --method klw --trace", 0),
-    "compare_csv": ("compare --format csv", 0),
-    "compare_f6_new_json": ("compare --functions f6 --methods new --format json", 0),
-    "coc_f6_new": ("coc --function f6 --method new --m 1", 0),
-}
+def test_compare_grid_matches_golden_bytes(variant):
+    for fmt in ("csv", "text", "json"):
+        goldens.grid(variant, fmt)
 
 
 @pytest.mark.parametrize("name", README_COMMANDS)
 def test_readme_command_matches_golden_output(name):
-    args, code = README_COMMANDS[name]
-    readme = (ROOT / "README.md").read_text().splitlines()
-    listed = {line.partition("#")[0].split(maxsplit=1)[1].strip()
-              for line in readme if line.startswith("haarnewton ")}
-    assert listed == {args for args, _ in README_COMMANDS.values()}
-    done = run_python("-m", "haarnewton", *args.split())
-    assert (done.returncode, done.stderr) == (code, b"")
-    assert done.stdout == (GOLDEN / f"readme_{name}.txt").read_bytes()
+    goldens.readme(name)
 
 
 def test_child_process_runs_under_this_warnings_policy():
@@ -362,6 +303,14 @@ def test_readme_command_reaches_the_seams_perfbench_patches(monkeypatch, capsys,
     assert main(args.split()) == code
     assert capsys.readouterr().out.encode() == (GOLDEN / f"readme_{name}.txt").read_bytes()
     assert reached == SEAMS_REACHED[name]
+
+
+def test_perfbench_times_the_readme_commands():
+    # parsed, not imported, so that no bytecode is written under perfbench/
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    [commands] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [getattr(target, "id", None) for target in node.targets] == ["CLI_COMMANDS"]]
+    assert ast.literal_eval(commands) == {name: args.split() for name, (args, _) in README_COMMANDS.items()}
 
 
 @pytest.mark.parametrize("command", ["solve", "coc"])
@@ -542,22 +491,9 @@ def test_readme_commands_take_the_exact_parser():
         assert cli._parse_exact(args.split()) is not None, args
 
 
-# ``python -m haarnewton ARGV`` with COLUMNS=80, run in an empty directory, for
-# argvs that argparse alone parses, helps with or reports: the exit code and
-# the stdout and stderr with each run of whitespace made one space (Python 3.13
-# wraps usage lines differently from 3.10-3.12). Generated before the exact
-# parser existed, by running each argv that way and writing the list of these
-# dicts with json.dumps(..., indent=1); identical then under Python 3.10,
-# 3.11, 3.12 and 3.13.
-ARGPARSE_PATHS = json.loads((GOLDEN / "argparse_paths.json").read_text())
-
-
-@pytest.mark.parametrize("case", ARGPARSE_PATHS, ids=lambda case: "_".join(case["argv"]) or "no-arguments")
-def test_argparse_path_matches_golden_output(tmp_path, case):
-    done = run_python("-m", "haarnewton", *case["argv"], env={"COLUMNS": "80"}, cwd=tmp_path)
-    got = {"argv": case["argv"], "exit": done.returncode,
-           "stdout": " ".join(done.stdout.decode().split()), "stderr": " ".join(done.stderr.decode().split())}
-    assert got == case
+@pytest.mark.parametrize("case", goldens.ARGPARSE_PATHS, ids=lambda case: "_".join(case["argv"]) or "no-arguments")
+def test_argparse_path_matches_golden_output(case):
+    goldens.argparse_path(case)
 
 
 _FLAGS = sorted({flag for _, _, options in cli.COMMANDS.values() for flag in options})

@@ -2,7 +2,9 @@
 
 Each step is expanded symbolically in the error e = x - alpha of its input,
 with f = e + c2 e^2 + c3 e^3 + c4 e^4 (alpha = 0, f'(alpha) = 1), on the node
-fractions and weight that ``MethodId.family`` gives it. The wavelet method's
+fractions and weight that ``MethodId.family`` gives it. Every averaging step
+(newton, wf, fs and new) follows one law in the moments of its node
+fractions; oz and klw are checked on their own. The wavelet method's
 constant is then read off a 120-digit run of ``iterate``, where the rounding
 of its float fractions shows for P that is not a power of two.
 """
@@ -80,16 +82,24 @@ def step_series(method, fraction=nearest_fraction):
     return add(E, mul(add(shifted, fx, -1), inv(dfx)), -1)
 
 
+def moment_law(method):
+    """(e^2, e^3) coefficients of an averaging step, x - W f / (sum over its nodes
+    c of f'(x - c f/f')), from the mean m1 and mean square m2 of the fractions c,
+    the endpoint counted as c = 0:
+        e_{n+1} = (1 - 2 m1) c2 e^2 + [c2^2 + 3 c3 (m2 - 1/3)] e^3.
+    The e^3 bracket is given where m1 = 1/2, the third-order case, else None."""
+    _, fractions, endpoint, *_ = method.family
+    nodes = [nearest_fraction(c) for c in (0.0,) * endpoint + fractions]
+    m1, m2 = (sum(c**k for c in nodes) / len(nodes) for k in (1, 2))
+    e3 = C2**2 + 3 * C3 * (m2 - sympy.Rational(1, 3)) if m1 == sympy.Rational(1, 2) else None
+    return (1 - 2 * m1) * C2, e3
+
+
+AVERAGING = [MethodId("newton"), MethodId("wf"), MethodId("fs"), MethodId("fs", fs_variant="standard-midpoint"),
+             *[MethodId("new", p) for p in range(1, 17)]]
 # method, e^2 coefficient, e^3 coefficient (None: a second-order method's is not pinned)
-CERTIFICATE = [
-    (MethodId("newton"), C2, None),
-    (MethodId("fs"), -3 * C2, None),
-    (MethodId("wf"), 0, (2 * C2**2 + C3) / 2),
-    (MethodId("fs", fs_variant="standard-midpoint"), 0, (4 * C2**2 - C3) / 4),
-    *[(MethodId("new", p), 0, C2**2 - C3 / (4 * p**2)) for p in (1, 2, 3, 8)],
-    (MethodId("oz"), 0, C3 / 2),
-    (MethodId("klw"), 0, 2 * (C2**2 - C3)),
-]
+CERTIFICATE = [*[(method, *moment_law(method)) for method in AVERAGING],
+               (MethodId("oz"), 0, C3 / 2), (MethodId("klw"), 0, 2 * (C2**2 - C3))]
 
 
 @pytest.mark.parametrize("method, e2, e3", CERTIFICATE, ids=[m.label for m, _, _ in CERTIFICATE])
@@ -99,6 +109,14 @@ def test_step_error_expansion(method, e2, e3):
     assert sympy.expand(got_e2 - e2) == 0
     if e3 is not None:
         assert sympy.expand(got_e3 - e3) == 0
+
+
+def test_the_law_gives_third_order_and_the_wavelet_constant():
+    # e^2 vanishes for every method but newton and fs as printed, and new[P]'s e^3 is c2^2 - c3/(4P^2)
+    assert [method.label for method, e2, _ in CERTIFICATE if e2 != 0] == ["newton", "fs"]
+    for method, _, e3 in CERTIFICATE:
+        if method.tag == "new":
+            assert sympy.expand(e3 - (C2**2 - C3 / (4 * method.haar_points**2))) == 0, method.label
 
 
 def float_fraction_residue(points):

@@ -1,48 +1,29 @@
-"""The experiment script runs against the package in src/: a smoke test, and
-convergence_diagnostics.py against its golden stdout; the README lists
-exactly the scripts there are. Also the CI workflow's pinned test
-dependencies against pyproject.toml's ``test`` extra, its expected failures
-against the criterion-3 runs, and the console script against the CLI's
-process entry."""
+"""The experiment script against its golden stdout, and the golden checker
+against the golden directory; the README lists exactly the scripts there
+are. Also the CI workflow's pinned test dependencies against pyproject.toml's
+``test`` extra, its expected failures against the criterion-3 runs, and the
+console script against the CLI's process entry."""
 
 import importlib
 import re
 
 from haarnewton import cli
-from haarnewton.bench import SUITE
 from haarnewton.core import Status
 
-from helpers import ROOT, run_python
+import goldens
+from helpers import ROOT
 from test_acceptance import DIVERGENT_IDS, REFERENCE_DIVERGENT, run_cell
 
-NAMES = [entry.problem.name for entry in SUITE]
 
-
-def run_script(name):
-    """The script's (stdout, stderr) bytes, after checking that it exited 0."""
-    done = run_python(str(ROOT / "scripts" / name), cwd=ROOT, timeout=120)
-    assert done.returncode == 0, done.stderr.decode()
-    return done.stdout, done.stderr
-
-
-def script_lines(name):
-    return run_script(name)[0].decode().splitlines()
-
-
-def test_convergence_diagnostics_reports_every_suite_function():
-    lines = script_lines("convergence_diagnostics.py")
-    for name in NAMES:
-        assert sum(line.startswith(f"  {name}: IT=") for line in lines) == 1, name
-    assert any(line.strip().startswith("empirical:") for line in lines)
-
-
-# Regenerate only for a deliberate change of output:
-#   PYTHONPATH=src python3 scripts/convergence_diagnostics.py \
-#       > tests/golden/script_convergence_diagnostics.txt
 def test_convergence_diagnostics_prints_its_golden_output():
-    stdout, stderr = run_script("convergence_diagnostics.py")
-    assert stderr == b""
-    assert stdout == (ROOT / "tests" / "golden" / "script_convergence_diagnostics.txt").read_bytes()
+    goldens.script()
+
+
+def test_checker_compares_exactly_the_golden_files():
+    # an orphan golden file, or a check with no file, fails here
+    compared = {file for _, file, _ in goldens.CHECKS if file}
+    assert compared == {path.name for path in goldens.GOLDEN.iterdir()}
+    assert len(compared) == 13
 
 
 def test_ci_pins_exactly_the_test_extra():
