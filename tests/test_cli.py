@@ -18,16 +18,20 @@ from helpers import ROOT, run_python
 
 
 def run_cli(capsys, *argv):
+    """``main(argv)`` in process: its exit code and stdout. It writes nothing to stderr."""
     code = main(list(argv))
     captured = capsys.readouterr()
+    assert captured.err == ""
     return code, captured.out
 
 
-def run_cli_expect_exit(capsys, *argv):
+def usage_error(capsys, *argv):
+    """``main(argv)`` on a command line it refuses: the stderr of its exit 1. It writes nothing to stdout."""
     with pytest.raises(SystemExit) as info:
         main(list(argv))
-    capsys.readouterr()
-    return info.value.code
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (1, "")
+    return captured.err
 
 
 def test_solve_converged(capsys):
@@ -53,11 +57,11 @@ def test_solve_breakdown_exit_code(capsys):
 
 
 def test_solve_unknown_function_is_usage_error(capsys):
-    assert run_cli_expect_exit(capsys, "solve", "--function", "f9", "--method", "new") == 1
+    usage_error(capsys, "solve", "--function", "f9", "--method", "new")
 
 
 def test_solve_unknown_method_is_usage_error(capsys):
-    assert run_cli_expect_exit(capsys, "solve", "--function", "f1", "--method", "brent") == 1
+    usage_error(capsys, "solve", "--function", "f1", "--method", "brent")
 
 
 @pytest.mark.parametrize(
@@ -82,10 +86,7 @@ def test_solve_unknown_method_is_usage_error(capsys):
 def test_bad_tolerance_is_usage_error(capsys, argv):
     if argv[0] != "compare":
         argv = argv[:1] + ["--function", "f1", "--method", "new"] + argv[1:]
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    err = capsys.readouterr().err
-    assert info.value.code == 1
+    err = usage_error(capsys, *argv)
     # reported by the subcommand's parser, as argparse reports its own errors
     assert err.startswith(f"usage: haarnewton {argv[0]} [-h] ")
     assert f"\nhaarnewton {argv[0]}: error: " in err
@@ -96,10 +97,8 @@ def test_bad_tolerance_is_usage_error(capsys, argv):
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_count_option_below_one_names_the_option(capsys, option, value):
     # --tol too: its type reports StopCriteria's check under the option's name
-    with pytest.raises(SystemExit) as info:
-        main(["solve", "--function", "f1", "--method", "new", option, value])
-    assert info.value.code == 1
-    assert f"haarnewton solve: error: argument {option}: " in capsys.readouterr().err
+    err = usage_error(capsys, "solve", "--function", "f1", "--method", "new", option, value)
+    assert f"haarnewton solve: error: argument {option}: " in err
 
 
 @pytest.mark.parametrize("command", ["solve", "coc"])
@@ -107,10 +106,7 @@ def test_count_option_below_one_names_the_option(capsys, option, value):
                                       (["--x0=-inf"], "-inf"), (["--x0", "1e999"], "1e999"),
                                       (["--x0", "abc"], "abc")], ids=["inf", "nan", "-inf", "1e999", "abc"])
 def test_x0_that_is_not_a_finite_number_names_the_option(capsys, command, x0, text):
-    with pytest.raises(SystemExit) as info:
-        main([command, "--function", "f1", "--method", "new", *x0])
-    assert info.value.code == 1
-    err = capsys.readouterr().err
+    err = usage_error(capsys, command, "--function", "f1", "--method", "new", *x0)
     assert err.endswith(f"haarnewton {command}: error: argument --x0: must be a finite number, not {text!r}\n")
 
 
@@ -136,7 +132,7 @@ def test_compare_fs_standard_variant(capsys):
 
 
 def test_compare_methods_takes_tags_not_printed_labels(capsys):
-    assert run_cli_expect_exit(capsys, "compare", "--methods", "fs(std),new") == 1
+    usage_error(capsys, "compare", "--methods", "fs(std),new")
     with pytest.raises(SystemExit):
         main(["compare", "-h"])
     help_text = " ".join(capsys.readouterr().out.split())
@@ -146,10 +142,8 @@ def test_compare_methods_takes_tags_not_printed_labels(capsys):
 
 def test_compare_refuses_x0(capsys):
     # each grid cell starts at its suite x0, so an --x0 would be silently ignored
-    with pytest.raises(SystemExit) as info:
-        main(["compare", "--functions", "f2", "--methods", "newton", "--format", "csv", "--x0", "5"])
-    assert info.value.code == 1
-    assert "haarnewton: error: unrecognized arguments: --x0 5" in capsys.readouterr().err
+    err = usage_error(capsys, "compare", "--functions", "f2", "--methods", "newton", "--format", "csv", "--x0", "5")
+    assert "haarnewton: error: unrecognized arguments: --x0 5" in err
 
 
 @pytest.mark.parametrize("option, message", [
@@ -157,12 +151,7 @@ def test_compare_refuses_x0(capsys):
     ("--methods", "give at least one method tag"),
 ], ids=["functions", "methods"])
 def test_compare_empty_list_names_its_option(capsys, option, message):
-    with pytest.raises(SystemExit) as info:
-        main(["compare", option, ","])
-    captured = capsys.readouterr()
-    assert info.value.code == 1
-    assert captured.out == ""
-    assert f"haarnewton compare: error: {option}: {message}\n" in captured.err
+    assert f"haarnewton compare: error: {option}: {message}\n" in usage_error(capsys, "compare", option, ",")
 
 
 def test_compare_exit_zero_despite_divergent_cells(capsys):
@@ -203,9 +192,9 @@ def test_child_process_runs_under_this_warnings_policy():
     ("solve --function f4 --method newton --x0 30", 3),  # a derivative breakdown
 ], ids=["solve-diverged", "coc-diverged", "solve-breakdown"])
 def test_process_exit_code_and_stdout_match_main(capsys, args, code):
-    assert main(args.split()) == code
+    returned, out = run_cli(capsys, *args.split())
     done = run_python("-m", "haarnewton", *args.split())
-    assert (done.returncode, done.stdout, done.stderr) == (code, capsys.readouterr().out.encode(), b"")
+    assert (returned, done.returncode, done.stdout, done.stderr) == (code, code, out.encode(), b"")
 
 
 def test_process_writes_the_whole_out_file(tmp_path):
@@ -239,9 +228,12 @@ def test_process_under_cprofile_prints_its_stats():
 
 
 def test_process_under_pdb_reports_its_exit():
-    # a continue with no breakpoints drops pdb's tracer; pdb still sees SystemExit
+    # a continue with no breakpoints drops pdb's tracer; pdb still sees SystemExit.
+    # From 3.13 pdb parses its command line with argparse, which needs a -- before
+    # the program's options; 3.10-3.12 would hand the -- on to the program.
     args, code = README_COMMANDS["solve_f2_new"]
-    done = run_python("-m", "pdb", "-m", "haarnewton", *args.split(), stdin=b"continue\nquit\n")
+    separator = ["--"] if sys.version_info >= (3, 13) else []
+    done = run_python("-m", "pdb", "-m", "haarnewton", *separator, *args.split(), stdin=b"continue\nquit\n")
     assert (done.returncode, done.stderr) == (code, b"")
     assert f"The program exited via sys.exit(). Exit status: {code}".encode() in done.stdout
 
@@ -300,8 +292,8 @@ def test_readme_command_reaches_the_seams_perfbench_patches(monkeypatch, capsys,
         seam = f"{module.__name__.rpartition('.')[2]}.{attr}"
         monkeypatch.setattr(module, attr, _recording(seam, getattr(module, attr), reached))
     args, code = README_COMMANDS[name]
-    assert main(args.split()) == code
-    assert capsys.readouterr().out.encode() == (GOLDEN / f"readme_{name}.txt").read_bytes()
+    returned, out = run_cli(capsys, *args.split())
+    assert (returned, out.encode()) == (code, (GOLDEN / f"readme_{name}.txt").read_bytes())
     assert reached == SEAMS_REACHED[name]
 
 
@@ -323,9 +315,9 @@ def test_perfbench_times_the_readme_commands():
     ids=["fs-standard-midpoint", "new-points-8", "new-m-4", "fs-as-printed"],
 )
 def test_method_line_prints_the_label_of_the_method_run(capsys, command, options, label):
-    main([command, "--function", "f2", *options])
-    method_line = capsys.readouterr().out.splitlines()[1]
-    assert method_line.split() == ["method:", label]
+    code, out = run_cli(capsys, command, "--function", "f2", *options)
+    assert code == 0
+    assert out.splitlines()[1].split() == ["method:", label]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -347,6 +339,7 @@ def test_coc_cubic_method(capsys):
 
 def test_coc_newton_is_quadratic(capsys):
     code, out = run_cli(capsys, "coc", "--function", "f2", "--method", "newton")
+    assert code == 0
     rho = float([l for l in out.splitlines() if "order" in l][0].split()[-1])
     assert 1.7 <= rho <= 2.3
 
@@ -389,6 +382,7 @@ def test_coc_reports_theoretical_constant_when_given(capsys, count, constant):
         capsys, "coc", "--function", "f6", "--method", "new",
         "--c2", "0.5", "--c3", "0.1", *count,
     )
+    assert code == 0
     assert f"theoretical constant: {constant}\n" in out
 
 
@@ -397,22 +391,14 @@ def test_coc_reports_theoretical_constant_when_given(capsys, count, constant):
     "constants", [("--c2", "0.5", "--c3", "0.1"), ("--c2", "0.5"), ("--c3", "0.1")]
 )
 def test_coc_constants_for_a_method_other_than_new_are_a_usage_error(capsys, method, constants):
-    with pytest.raises(SystemExit) as info:
-        main(["coc", "--function", "f6", "--method", method, *constants])
-    captured = capsys.readouterr()
-    assert info.value.code == 1
-    assert captured.out == ""
-    assert "defined for method 'new' only" in captured.err
+    err = usage_error(capsys, "coc", "--function", "f6", "--method", method, *constants)
+    assert "defined for method 'new' only" in err
 
 
 @pytest.mark.parametrize("constant", [("--c2", "0.5"), ("--c3", "0.1")], ids=lambda c: c[0])
 def test_coc_one_constant_without_the_other_is_a_usage_error(capsys, constant):
-    with pytest.raises(SystemExit) as info:
-        main(["coc", "--function", "f6", "--method", "new", *constant])
-    captured = capsys.readouterr()
-    assert info.value.code == 1
-    assert captured.out == ""
-    assert "haarnewton coc: error: --c2/--c3: give both constants or neither" in captured.err
+    err = usage_error(capsys, "coc", "--function", "f6", "--method", "new", *constant)
+    assert "haarnewton coc: error: --c2/--c3: give both constants or neither" in err
 
 
 @pytest.mark.parametrize(
@@ -423,27 +409,17 @@ def test_coc_one_constant_without_the_other_is_a_usage_error(capsys, constant):
 )
 def test_coc_non_finite_constant_is_a_usage_error(capsys, constants, option, text):
     # the constants take --x0's converter: not a number and not finite read alike
-    with pytest.raises(SystemExit) as info:
-        main(["coc", "--function", "f6", "--method", "new", *constants])
-    captured = capsys.readouterr()
-    assert info.value.code == 1
-    assert captured.out == ""
-    assert captured.err.startswith("usage: haarnewton coc ")
-    assert captured.err.endswith(
-        f"haarnewton coc: error: argument {option}: must be a finite number, not {text!r}\n")
+    err = usage_error(capsys, "coc", "--function", "f6", "--method", "new", *constants)
+    assert err.startswith("usage: haarnewton coc ")
+    assert err.endswith(f"haarnewton coc: error: argument {option}: must be a finite number, not {text!r}\n")
 
 
 @pytest.mark.parametrize("c2", ["--c2=1e200", "--c2=-1e200"])
 def test_coc_overflowing_theoretical_constant_is_a_usage_error(capsys, c2):
     # finite constants, but c2^2 overflows, so c2^2 - c3/(4P^2) is inf
-    with pytest.raises(SystemExit) as info:
-        main(["coc", "--function", "f6", "--method", "new", c2, "--c3", "1"])
-    captured = capsys.readouterr()
-    assert info.value.code == 1
-    assert captured.out == ""
-    assert captured.err.startswith("usage: haarnewton coc ")
-    assert ("haarnewton coc: error: --c2/--c3: the theoretical constant c2^2 - c3/(4P^2)"
-            " is not finite") in captured.err
+    err = usage_error(capsys, "coc", "--function", "f6", "--method", "new", c2, "--c3", "1")
+    assert err.startswith("usage: haarnewton coc ")
+    assert "haarnewton coc: error: --c2/--c3: the theoretical constant c2^2 - c3/(4P^2) is not finite" in err
 
 
 # Run in a fresh interpreter started with -S: the modules only count when the

@@ -40,6 +40,8 @@ from helpers import forbid_result_constructors
 from suite_formulas import FORMULAS
 
 QUADRATIC = Problem("x2-4", lambda x: x * x - 4.0, lambda x: 2.0 * x)
+LINE = Problem("line", lambda x: x, lambda x: 1.0)
+FLAT = Problem("flat", lambda x: 1.0, lambda x: 0.0)
 
 
 def step_cost(fn, *args, **kwargs):
@@ -55,8 +57,7 @@ def test_newton_step_value_and_cost():
 
 
 def test_newton_step_exact_on_affine():
-    affine = Problem("line", lambda x: x, lambda x: 1.0)
-    assert newton_step(affine, 7.0, EvalCounters()) == 0.0
+    assert newton_step(LINE, 7.0, EvalCounters()) == 0.0
 
 
 def test_wf_step_value_and_cost():
@@ -128,9 +129,8 @@ def test_haar_step_rejects_non_integral_points(points):
     [newton_step, wf_step, fs_step, oz_step, klw_step, haar_newton_step],
 )
 def test_steps_breakdown_on_zero_derivative(step):
-    flat = Problem("flat", lambda x: 1.0, lambda x: 0.0)
     with pytest.raises(DerivativeBreakdownError):
-        step(flat, 0.5, EvalCounters())
+        step(FLAT, 0.5, EvalCounters())
 
 
 @given(
@@ -220,8 +220,7 @@ def test_power_of_two_scaling_leaves_iterates_bit_identical(j, tag):
 
 
 def test_iterate_affine_converges_in_one_step():
-    affine = Problem("line", lambda x: x, lambda x: 1.0)
-    outcome = iterate(MethodId("newton"), affine, 1.0)
+    outcome = iterate(MethodId("newton"), LINE, 1.0)
     assert outcome.status is Status.CONVERGED
     assert outcome.iterations == 1
     assert outcome.root == 0.0
@@ -244,8 +243,7 @@ def test_iterate_wf_on_f3_does_not_converge():
 
 
 def test_iterate_breakdown_is_an_outcome_not_an_exception():
-    flat = Problem("flat", lambda x: 1.0, lambda x: 0.0)
-    outcome = iterate(MethodId("newton"), flat, 0.3)
+    outcome = iterate(MethodId("newton"), FLAT, 0.3)
     assert outcome.status is Status.DERIVATIVE_BREAKDOWN
     assert outcome.root == 0.3
 
@@ -268,14 +266,12 @@ def test_iterate_atan_from_its_root_takes_no_step():
         Status.CONVERGED, 0.0, 0, 1)
 
 
-LINE = Problem("line", lambda x: x, lambda x: 1.0)
 EXIT_PATHS = {
     "exact-root-at-x0": (LINE, 0.0, StopCriteria(), Status.CONVERGED),
     "converged": (LINE, 1.0, StopCriteria(), Status.CONVERGED),
     "diverged": (suite_entry("f3").problem, 2.0, StopCriteria(), Status.DIVERGED),  # atan
     "max-iterations": (QUADRATIC, 10.0, StopCriteria(max_iter=1), Status.MAX_ITER),
-    "breakdown": (Problem("flat", lambda x: 1.0, lambda x: 0.0), 0.3, StopCriteria(),
-                  Status.DERIVATIVE_BREAKDOWN),
+    "breakdown": (FLAT, 0.3, StopCriteria(), Status.DERIVATIVE_BREAKDOWN),
 }
 
 
