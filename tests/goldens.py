@@ -7,6 +7,7 @@ import io
 import json
 import math
 import random
+import re
 import struct
 import sys
 import tempfile
@@ -67,16 +68,24 @@ def readme(name):
 
 
 # argvs that argparse alone parses, helps with or reports, run with COLUMNS=80 in an empty
-# directory: the exit code, and stdout and stderr with each run of whitespace made one space
-# (3.13 wraps usage lines differently from 3.10-3.12); written with json.dumps(..., indent=1)
+# directory: the exit code, and stdout and stderr normalised on both sides; written with
+# json.dumps(..., indent=1)
 ARGPARSE_PATHS = json.loads((GOLDEN / "argparse_paths.json").read_text())
+
+
+def _normalised(text):
+    """Each run of whitespace made one space (3.13 wraps usage lines differently from
+    3.10-3.12), and the quotes dropped around each choice in argparse's "(choose from
+    ...)" list (3.10.13-3.13.0 print 'f1', 3.13.13 prints f1)."""
+    return re.sub(r"\(choose from [^)]*\)", lambda m: m[0].replace("'", ""), " ".join(text.split()))
 
 
 def argparse_path(case):
     with tempfile.TemporaryDirectory() as empty:
         done = run_python("-m", "haarnewton", *case["argv"], env={"COLUMNS": "80"}, cwd=empty)
-    expect({"argv": case["argv"], "exit": done.returncode, "stdout": " ".join(done.stdout.decode().split()),
-            "stderr": " ".join(done.stderr.decode().split())}, case)
+    expect({"argv": case["argv"], "exit": done.returncode, "stdout": _normalised(done.stdout.decode()),
+            "stderr": _normalised(done.stderr.decode())},
+           {**case, "stdout": _normalised(case["stdout"]), "stderr": _normalised(case["stderr"])})
 
 
 # PYTHONPATH=src python3 scripts/convergence_diagnostics.py > tests/golden/script_convergence_diagnostics.txt

@@ -34,13 +34,6 @@ def usage_error(capsys, *argv):
     return captured.err
 
 
-def test_solve_converged(capsys):
-    code, out = run_cli(capsys, "solve", "--function", "f2", "--method", "new", "--m", "1")
-    assert code == 0
-    assert "0.739085133215161" in out
-    assert "status:     converged" in out
-
-
 def test_solve_divergent_exit_code(capsys):
     code, out = run_cli(capsys, "solve", "--function", "f3", "--method", "wf")
     assert code == 2
@@ -54,10 +47,6 @@ def test_solve_breakdown_exit_code(capsys):
     )
     assert code == 3
     assert "Breakdown" in out
-
-
-def test_solve_unknown_function_is_usage_error(capsys):
-    usage_error(capsys, "solve", "--function", "f9", "--method", "new")
 
 
 def test_solve_unknown_method_is_usage_error(capsys):
@@ -110,36 +99,6 @@ def test_x0_that_is_not_a_finite_number_names_the_option(capsys, command, x0, te
     assert err.endswith(f"haarnewton {command}: error: argument --x0: must be a finite number, not {text!r}\n")
 
 
-def test_solve_trace_lists_iterates(capsys):
-    code, out = run_cli(
-        capsys, "solve", "--function", "f7", "--method", "new", "--trace"
-    )
-    assert code == 0
-    trace_lines = [l for l in out.splitlines() if l.strip().startswith(tuple("0123456789"))]
-    assert len(trace_lines) >= 4  # x0 plus at least three iterates
-
-
-def test_compare_fs_standard_variant(capsys):
-    code, out = run_cli(
-        capsys, "compare", "--methods", "fs", "--fs-variant", "standard-midpoint",
-        "--format", "csv",
-    )
-    assert code == 0
-    lines = out.strip().splitlines()[1:]
-    assert len(lines) == 7
-    f4_line = [l for l in lines if l.startswith("f4,")][0]
-    assert ",converged," in f4_line
-
-
-def test_compare_methods_takes_tags_not_printed_labels(capsys):
-    usage_error(capsys, "compare", "--methods", "fs(std),new")
-    with pytest.raises(SystemExit):
-        main(["compare", "-h"])
-    help_text = " ".join(capsys.readouterr().out.split())
-    assert "method tags, from newton, wf, fs, oz, klw, new;" in help_text
-    assert "--fs-variant" in help_text and "--points" in help_text
-
-
 def test_compare_refuses_x0(capsys):
     # each grid cell starts at its suite x0, so an --x0 would be silently ignored
     err = usage_error(capsys, "compare", "--functions", "f2", "--methods", "newton", "--format", "csv", "--x0", "5")
@@ -152,12 +111,6 @@ def test_compare_refuses_x0(capsys):
 ], ids=["functions", "methods"])
 def test_compare_empty_list_names_its_option(capsys, option, message):
     assert f"haarnewton compare: error: {option}: {message}\n" in usage_error(capsys, "compare", option, ",")
-
-
-def test_compare_exit_zero_despite_divergent_cells(capsys):
-    code, out = run_cli(capsys, "compare", "--functions", "f3", "--format", "csv")
-    assert code == 0
-    assert "Diverse" in out
 
 
 def test_m_and_points_are_equivalent(capsys):
@@ -320,33 +273,11 @@ def test_method_line_prints_the_label_of_the_method_run(capsys, command, options
     assert out.splitlines()[1].split() == ["method:", label]
 
 
-def test_out_flag_writes_file(tmp_path, capsys):
-    target = tmp_path / "grid.csv"
-    code, out = run_cli(
-        capsys, "compare", "--format", "csv", "--out", str(target)
-    )
-    assert code == 0
-    assert out == ""
-    assert target.read_text().startswith("function,x0,")
-
-
-def test_coc_cubic_method(capsys):
-    code, out = run_cli(capsys, "coc", "--function", "f6", "--method", "new", "--m", "1")
-    assert code == 0
-    rho = float([l for l in out.splitlines() if "order" in l][0].split()[-1])
-    assert 2.7 <= rho <= 3.3
-
-
 def test_coc_newton_is_quadratic(capsys):
     code, out = run_cli(capsys, "coc", "--function", "f2", "--method", "newton")
     assert code == 0
     rho = float([l for l in out.splitlines() if "order" in l][0].split()[-1])
     assert 1.7 <= rho <= 2.3
-
-
-def test_coc_divergent_run_exits_2(capsys):
-    code, _ = run_cli(capsys, "coc", "--function", "f3", "--method", "wf")
-    assert code == 2
 
 
 def test_coc_run_stopped_by_the_cap_exits_2_despite_a_finite_order(capsys):

@@ -814,6 +814,56 @@ def test_counters_account_for_every_call():
                     counters.n_f, counters.n_df, 0), (problem.name, step.__name__, x0)
 
 
+def _polynomial(a, roots):
+    """a * prod (x - r)^m over ``roots``, pairs (r, m), with its derivative written out."""
+
+    def f(x):
+        value = a
+        for r, m in roots:
+            value *= (x - r) ** m
+        return value
+
+    def df(x):
+        total = 0.0
+        for i, (r, m) in enumerate(roots):
+            term = a * m * (x - r) ** (m - 1)
+            for j, (s, k) in enumerate(roots):
+                if j != i:
+                    term *= (x - s) ** k
+            total += term
+        return total
+
+    return Problem("polynomial", f, df)
+
+
+@st.composite
+def _polynomials(draw):
+    """a * prod (x - r_i)^m_i: 1-3 roots in [-3, 3], m_i in {1, 2, 3}, |a| in [1e-2, 1e2]."""
+    a = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-2.0, 2.0))
+    roots = draw(st.lists(st.tuples(st.floats(-3.0, 3.0), st.integers(1, 3)), min_size=1, max_size=3))
+    return _polynomial(a, roots)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(_polynomials(), st.floats(-4.0, 4.0))
+def test_iterate_keeps_its_status_contract_on_polynomials(polynomial, x0):
+    problem, calls = _counting(polynomial)
+    criteria = StopCriteria()
+    for method, _, _ in ITERATE_CONFIGS:
+        calls.update(f=0, df=0)
+        out = iterate(method, problem, x0, criteria)
+        c = out.trace.counters
+        assert (calls["f"], calls["df"]) == (c.n_f + c.n_diag, c.n_df), method
+        # a breakdown's partial step and an exact root's one f call fall outside step_cost x IT
+        if out.status is not Status.DERIVATIVE_BREAKDOWN and out.trace.residuals[0] != 0.0:
+            assert out.nfe == method.step_cost * out.iterations, method
+        if out.status is Status.MAX_ITER:
+            assert out.iterations == criteria.max_iter, method
+        if out.status is Status.DIVERGED:
+            last = out.trace.iterates[-1]
+            assert not math.isfinite(last) or abs(last) > criteria.escape_radius, method
+
+
 ONE_NODE_METHODS = [MethodId("wf"), MethodId("fs"), MethodId("fs", fs_variant="standard-midpoint"),
                     MethodId("new", 1)]
 

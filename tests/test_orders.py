@@ -4,9 +4,9 @@ Each step is expanded symbolically in the error e = x - alpha of its input,
 with f = e + c2 e^2 + c3 e^3 + c4 e^4 (alpha = 0, f'(alpha) = 1), on the node
 fractions and weight that ``MethodId.family`` gives it. Every averaging step
 (newton, wf, fs and new) follows one law in the moments of its node
-fractions; oz and klw are checked on their own. The wavelet method's
-constant is then read off a 120-digit run of ``iterate``, where the rounding
-of its float fractions shows for P that is not a power of two.
+fractions; oz and klw are checked on their own. Each method's order and
+constant are then read off a 120-digit run of ``iterate`` on f6, where the
+rounding of new[P]'s float fractions shows for P that is not a power of two.
 """
 
 from fractions import Fraction
@@ -134,8 +134,8 @@ def test_float_fractions_leave_an_e2_term_for_non_dyadic_node_counts():
 PRECISION_POINTS = (2, 3, 8)
 
 
-def _f6_pairs(points):
-    """(c2, c3, [(e_n, e_{n+1})]) of new[P] on f6 at 120 digits, errors signed."""
+def _f6_pairs(method):
+    """(c2, c3, [(e_n, e_{n+1})]) of ``method`` on f6 at 120 digits, errors signed."""
     f6, df6 = FORMULAS["f6"]
     problem = Problem("f6", partial(f6, mpmath), partial(df6, mpmath))
     root = mpmath.findroot(problem.f, mpmath.mpf("0.77"))
@@ -146,21 +146,27 @@ def _f6_pairs(points):
     slope = problem.df(root)
     c2, c3 = ddf / (2 * slope), dddf / (6 * slope)
     criteria = StopCriteria(step_tol=1e-100, residual_tol=1e-100)
-    outcome = iterate(MethodId("new", points), problem, mpmath.mpf("0.9"), criteria)
+    outcome = iterate(method, problem, mpmath.mpf("0.9"), criteria)
     errors = [x - root for x in outcome.trace.iterates]
     return c2, c3, list(zip(errors, errors[1:]))
 
 
-@pytest.mark.parametrize("points", PRECISION_POINTS)
-def test_wavelet_constant_at_120_digits(points):
+@pytest.mark.parametrize("method, e2, e3", CERTIFICATE,
+                         ids=[str(m.haar_points) if m.tag == "new" else m.label for m, _, _ in CERTIFICATE])
+def test_wavelet_constant_at_120_digits(method, e2, e3):
+    # e_{n+1} / e_n^k against the row's law at f6's c2 and c3, with k = 2 for
+    # the two second-order rows (newton and fs as printed) and 3 for the rest
     with mpmath.workdps(120):
-        c2, c3, pairs = _f6_pairs(points)
-        constant = c2**2 - c3 / (4 * points**2)
-        window = [b / a**3 for a, b in pairs if 1e-12 < abs(a) < 1e-6]
+        c2, c3, pairs = _f6_pairs(method)
+        order, law = (2, e2) if e2 != 0 else (3, e3)
+        constant = sympy.lambdify([C2, C3], law, "mpmath")(c2, c3)
+        window = [b / a**order for a, b in pairs if 1e-12 < abs(a) < 1e-6]
         assert len(window) == 1 and abs(window[0] / constant - 1) < 1e-6
+        if method.tag != "new" or method.haar_points not in PRECISION_POINTS:
+            return
         # the pair after it, with e_n ~ 1e-26, where the rounded fractions' e^2 term shows
         ((a, b),) = [(a, b) for a, b in pairs if 1e-30 < abs(a) < 1e-20]
-        if points == 3:
+        if method.haar_points == 3:
             residue = float_fraction_residue(3)
             assert abs(b / a**3) > 1e8
             assert abs(b / a**2 / (c2 * residue.p / residue.q) - 1) < 1e-6
