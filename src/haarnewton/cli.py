@@ -102,7 +102,7 @@ def cmd_compare(args: SimpleNamespace) -> tuple[int, str]:
         raise ValueError("--methods: give at least one method tag")
     for name in names:
         if name not in FUNCTION_NAMES:
-            raise ValueError(f"unknown function {name!r}")
+            raise ValueError(f"--functions: unknown function {name!r}")
     suite = [bench.suite_entry(name) for name in names]
     methods = [_method(label, args) for label in labels]
     table = bench.run_comparison(suite, methods, _criteria(args))

@@ -47,22 +47,6 @@ def test_suite_functions_vanish_at_reference_roots(name, root, bound):
     assert abs(suite_entry(name).problem.f(root)) < bound
 
 
-def test_f5_is_exactly_zero_at_origin():
-    assert suite_entry("f5").problem.f(0.0) == 0.0
-
-
-@pytest.mark.parametrize("name", ["f1", "f2", "f3", "f4", "f5", "f6", "f7"])
-@pytest.mark.parametrize("x", [-0.9, 0.3, 1.7])
-def test_derivatives_match_finite_differences(name, x):
-    # oracle: 5-point central difference
-    problem = suite_entry(name).problem
-    h = 1e-5
-    numeric = (
-        -problem.f(x + 2 * h) + 8 * problem.f(x + h) - 8 * problem.f(x - h) + problem.f(x - 2 * h)
-    ) / (12 * h)
-    assert problem.df(x) == pytest.approx(numeric, rel=1e-8, abs=1e-8)
-
-
 _ints = random.Random(6)
 INT_SAMPLE = [0, 1, -1, 2707, -2707, 9749, -9749, 10**5, -(10**5)] + [
     _ints.randint(-(10**5), 10**5) for _ in range(500)

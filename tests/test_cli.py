@@ -105,12 +105,13 @@ def test_compare_refuses_x0(capsys):
     assert "haarnewton: error: unrecognized arguments: --x0 5" in err
 
 
-@pytest.mark.parametrize("option, message", [
-    ("--functions", "give at least one function name"),
-    ("--methods", "give at least one method tag"),
-], ids=["functions", "methods"])
-def test_compare_empty_list_names_its_option(capsys, option, message):
-    assert f"haarnewton compare: error: {option}: {message}\n" in usage_error(capsys, "compare", option, ",")
+@pytest.mark.parametrize("option, value, message", [
+    ("--functions", ",", "give at least one function name"),
+    ("--methods", ",", "give at least one method tag"),
+    ("--functions", "f1,f9", "unknown function 'f9'"),
+], ids=["functions", "methods", "unknown-function"])
+def test_compare_list_errors_name_their_option(capsys, option, value, message):
+    assert f"haarnewton compare: error: {option}: {message}\n" in usage_error(capsys, "compare", option, value)
 
 
 def test_m_and_points_are_equivalent(capsys):

@@ -40,12 +40,6 @@ def test_evaluate_f_values(name, x, expected):
     assert counters.n_f == 1 and counters.n_df == 0
 
 
-def test_evaluate_f_at_reference_root():
-    counters = EvalCounters()
-    value = evaluate_f(suite_entry("f1").problem, -1.16730397826142, counters)
-    assert abs(value) < 1e-13
-
-
 @pytest.mark.parametrize(
     "name, x, expected",
     [

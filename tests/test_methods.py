@@ -106,20 +106,11 @@ def test_haar_step_against_direct_formula():
         assert (counters.n_f, counters.n_df) == (1, 1 + points)
 
 
-def test_haar_step_p2_value():
-    got = haar_newton_step(QUADRATIC, 3.0, EvalCounters(), points=2)
-    assert got == pytest.approx(63.0 / 31.0, rel=1e-13)
-
-
-def test_haar_step_rejects_bad_points():
-    with pytest.raises(ValueError):
-        haar_newton_step(QUADRATIC, 3.0, EvalCounters(), points=0)
-
-
-@pytest.mark.parametrize("points", [2.5, 2.0, math.nan, "3"])
+@pytest.mark.parametrize("points", [2.5, 2.0, math.nan, "3", 0])
 def test_haar_step_rejects_non_integral_points(points):
     counters = EvalCounters()
-    with pytest.raises(ValueError, match="node count must be an integer"):
+    message = "must be >= 1" if points == 0 else "must be an integer"
+    with pytest.raises(ValueError, match=f"node count {message}"):
         haar_newton_step(QUADRATIC, 3.0, counters, points=points)
     assert (counters.n_f, counters.n_df) == (0, 0)
 
@@ -183,25 +174,6 @@ def test_quadratic_coincidence(a, b, c, x, points):
     assert abs(wf - hn) <= 1e-13 * scale
 
 
-@given(
-    x=st.floats(min_value=-3, max_value=3),
-    a=st.floats(min_value=0.2, max_value=4),
-    shift=st.floats(min_value=-2, max_value=2),
-)
-def test_midpoint_collapse_is_bitwise(x, a, shift):
-    problem = Problem(
-        "cubicish",
-        lambda t: a * t**3 - t + shift,
-        lambda t: 3.0 * a * t * t - 1.0,
-    )
-    try:
-        hn = haar_newton_step(problem, x, EvalCounters(), points=1)
-        fs = fs_step(problem, x, EvalCounters(), FsVariant.STANDARD_MIDPOINT)
-    except DerivativeBreakdownError:
-        return
-    assert hn == fs or (math.isnan(hn) and math.isnan(fs))
-
-
 @settings(deadline=None)
 @given(
     j=st.integers(min_value=-20, max_value=20),
@@ -225,21 +197,6 @@ def test_iterate_affine_converges_in_one_step():
     assert outcome.iterations == 1
     assert outcome.root == 0.0
     assert outcome.nfe == 2
-
-
-def test_iterate_haar_on_f1_reference_run():
-    entry = suite_entry("f1")
-    outcome = iterate(MethodId("new", haar_points=2), entry.problem, entry.x0)
-    assert outcome.status is Status.CONVERGED
-    assert outcome.root == pytest.approx(-1.16730397826142, abs=1e-12)
-    assert abs(outcome.iterations - 9) <= 2
-    assert outcome.nfe == 4 * outcome.iterations
-
-
-def test_iterate_wf_on_f3_does_not_converge():
-    entry = suite_entry("f3")
-    outcome = iterate(MethodId("wf"), entry.problem, entry.x0)
-    assert outcome.status in (Status.DIVERGED, Status.MAX_ITER)
 
 
 def test_iterate_breakdown_is_an_outcome_not_an_exception():
@@ -785,6 +742,9 @@ SQRT = Problem("sqrt-1", lambda x: math.sqrt(x) - 1.0, lambda x: 0.5 / math.sqrt
 # from 700, f/f' ~ -1e4 puts every node of the first step past 709.78, where
 # exp raises OverflowError, while f and f' at x are finite
 EXP_OVERFLOW = Problem("exp-1e308", lambda x: math.exp(x) - 1e308, math.exp)
+# from 1.5 klw's shifted f is evaluated at 2, where f is inf: a breakdown for the
+# public step and for iterate, which must not report it as a diverged iterate
+INF_PAST_2 = Problem("inf-past-2", lambda x: x - 1.0 if x < 2.0 else math.inf, lambda x: 1.0)
 
 
 def _accounting_cases():
@@ -792,6 +752,7 @@ def _accounting_cases():
         yield entry.problem, _iterate_starts(entry) + ACCOUNTING_STARTS.get(entry.problem.name, [])
     yield SQRT, [0.25, 3.0, 9.0, -1.0, 0.0]
     yield EXP_OVERFLOW, [700.0]
+    yield INF_PAST_2, [1.5]
 
 
 def test_counters_account_for_every_call():
