@@ -26,20 +26,21 @@ one-node rule's node. All three families share the prefix that counts,
 evaluates and checks f'(x) and computes d once. Two forks pay for themselves
 there: Newton skips the empty node sum, and a one-node rule evaluates its
 node inline; its sum then lacks node_sum's leading 0.0, which only changes
-the sign of a zero sum, a breakdown either way. ``_step``, which the public
-``*_step`` functions run on a table spec, is the same step, d included,
-without the forks, on ``core.evaluate_f``/``evaluate_df`` and ``node_sum``;
-so every formula exists twice, and a parity test pins the copies together.
+the sign of a zero sum, a breakdown either way. The public ``*_step``
+functions run this loop too, in ``iterate``'s private one-step mode
+(``_counters``), so every step formula is written once. That mode takes the
+step even from an exact root, returns x_1 before its residual and adds the
+step's counts to the caller's ``EvalCounters``. A public step takes its
+``MethodId`` from a cache, as building one costs more than the step.
 
 Failures are decided in one place. The loop calls f and f' directly, counts
 before each call and raises: a zero or non-finite divisor is a
 ``DerivativeBreakdownError``, and math-module errors and the TypeError of a
 complex value propagate; ``iterate`` classifies them all as
-``derivative-breakdown``. In ``_step`` a counted evaluation turns a
-math-module error into NaN, which the same checks reject, and every failure,
-the TypeError of a complex result included, raises ``DerivativeBreakdownError``.
-``quadrature.node_sum`` guards each node, and ``iterate`` only f(x0) and the
-residuals, where NaN means "go on". It keeps its counts in locals, each
+``derivative-breakdown``, and a public step raises ``DerivativeBreakdownError``
+for them. ``quadrature.node_sum`` guards each node, and ``iterate`` only f(x0)
+and the residuals, where a math-module error or a TypeError makes f NaN, which
+means "go on". It keeps its counts in locals, each
 incremented before its call: reused residuals go to ``n_f``, the one
 residual that no step reuses to ``n_diag``. It builds its result once, after the loop, through
 ``core._outcome``, which makes only the ``Outcome`` and skips its constructor, the
@@ -52,6 +53,7 @@ over 100 ns, ten times a global's, and every run would make three.
 """
 
 import enum
+from functools import lru_cache
 from math import isfinite, nan
 
 from .core import (
@@ -68,8 +70,6 @@ from .core import (
     StopCriteria,
     _outcome,
     as_count,
-    evaluate_df,
-    evaluate_f,
 )
 from .quadrature import midpoint_fractions, node_sum
 
@@ -140,57 +140,23 @@ class MethodId(FrozenRecord):
         self._store(tag, points, variant, *_RULES[tag](points, variant))
 
 
-# every way a step can fail; caught only by ``iterate`` and ``_step``
-_STEP_ERRORS = (DerivativeBreakdownError, TypeError, *MATH_ERRORS)
+# f raising one of these at x0 or at a residual has the value NaN there
+_NAN_ERRORS = (TypeError, *MATH_ERRORS)
+# every way a step can fail; caught only by ``iterate``
+_STEP_ERRORS = (DerivativeBreakdownError, *_NAN_ERRORS)
 
-
-def _step(spec: tuple, problem: Problem, x: float, counters: EvalCounters) -> float:
-    """One step of family spec ``spec`` from x, f(x) included, counted in
-    ``counters``: ``iterate``'s loop body on core's counted evaluations, with
-    Newton as averaging over no nodes. A failure or complex result is a breakdown."""
-    family, fractions, endpoint, n, weight, _ = spec
-    try:
-        fx = evaluate_f(problem, x, counters)
-        dfx = evaluate_df(problem, x, counters)
-        if dfx == 0.0 or not isfinite(dfx):
-            raise DerivativeBreakdownError
-        d = fx / dfx
-        if family is _AVERAGING:
-            counters.n_df += n
-            total = node_sum(problem.df, x, -d, fractions)
-            if endpoint:  # Newton: f'(x) + 0.0 is f'(x)
-                total = dfx + total
-            if total == 0.0 or not isfinite(total):
-                raise DerivativeBreakdownError
-            x_new = x - (weight * fx) / total
-        elif family is _OZ:
-            dz = evaluate_df(problem, x - d, counters)
-            if dz == 0.0 or not isfinite(dz):
-                raise DerivativeBreakdownError
-            x_new = x - (fx / 2.0) * (1.0 / dfx + 1.0 / dz)
-        else:  # klw
-            shifted = evaluate_f(problem, x + d, counters)
-            if not isfinite(shifted):
-                raise DerivativeBreakdownError
-            x_new = x - (shifted - fx) / dfx
-        isfinite(x_new)  # a complex x_new, from a complex f value, raises TypeError here
-    except _STEP_ERRORS:
-        raise DerivativeBreakdownError from None
-    return x_new
-
-
-_SPECS = {tag: MethodId(tag).family for tag in ("newton", "wf", "oz", "klw")}
-_FS_SPECS = {variant: MethodId("fs", fs_variant=variant).family for variant in FsVariant}
+# the public steps' methods: building a ``MethodId`` costs more than the step it names
+_method = lru_cache(maxsize=128)(MethodId)
 
 
 def newton_step(problem: Problem, x: float, counters: EvalCounters) -> float:
     """Classic quadratic step x - f/f'. Cost: 1 f, 1 f'."""
-    return _step(_SPECS["newton"], problem, x, counters)
+    return iterate(_method("newton"), problem, x, _counters=counters)
 
 
 def wf_step(problem: Problem, x: float, counters: EvalCounters) -> float:
     """Trapezoid-average third-order step. Cost: 1 f, 2 f'."""
-    return _step(_SPECS["wf"], problem, x, counters)
+    return iterate(_method("wf"), problem, x, _counters=counters)
 
 
 def fs_step(problem: Problem, x: float, counters: EvalCounters,
@@ -199,24 +165,25 @@ def fs_step(problem: Problem, x: float, counters: EvalCounters,
 
     ``variant`` is an ``FsVariant`` or its value; anything else is a ``ValueError``.
     """
-    return _step(_FS_SPECS[FsVariant(variant)], problem, x, counters)
+    return iterate(_method("fs", 2, FsVariant(variant)), problem, x, _counters=counters)
 
 
 def oz_step(problem: Problem, x: float, counters: EvalCounters) -> float:
     """Arithmetic-mean-of-inverses third-order step. Cost: 1 f, 2 f'."""
-    return _step(_SPECS["oz"], problem, x, counters)
+    return iterate(_method("oz"), problem, x, _counters=counters)
 
 
 def klw_step(problem: Problem, x: float, counters: EvalCounters) -> float:
     """Difference-quotient third-order step. Cost: 2 f, 1 f'."""
-    return _step(_SPECS["klw"], problem, x, counters)
+    return iterate(_method("klw"), problem, x, _counters=counters)
 
 
 def haar_newton_step(
     problem: Problem, x: float, counters: EvalCounters, points: int = 2
 ) -> float:
     """Wavelet-quadrature modified Newton step with P nodes. Cost: 1 f, 1+P f'."""
-    return _step(_spec(_AVERAGING, midpoint_fractions(points)), problem, x, counters)
+    midpoint_fractions(points)  # a bad P is a "node count" error, before any evaluation
+    return iterate(_method("new", points), problem, x, _counters=counters)
 
 
 def iterate(
@@ -224,6 +191,8 @@ def iterate(
     problem: Problem,
     x0: float,
     criteria: StopCriteria = StopCriteria(),
+    *,
+    _counters: EvalCounters | None = None,
 ) -> Outcome:
     """Run a method from x0 until a stopping condition triggers.
 
@@ -233,8 +202,13 @@ def iterate(
     An exact root at x0 is converged after 0 iterations and 1 evaluation.
     The final residual, used only for the stop test, is recorded in the
     trace and counted in ``n_diag``, outside the evaluation count.
+
+    ``_counters`` is the public steps' one-step mode: the step is taken even
+    from an exact root, x_1 is returned before its residual, the step's f and
+    f' counts are added to ``_counters``, and a breakdown, counted too, raises
+    ``DerivativeBreakdownError``. x0 is then not checked.
     """
-    if not isfinite(x0):
+    if _counters is None and not isfinite(x0):
         raise ValueError("x0 must be finite")
 
     f, df = problem.f, problem.df
@@ -244,18 +218,18 @@ def iterate(
     n_f, n_df = 1, 0
     try:
         fx = f(x0)
-    except MATH_ERRORS:
+    except _NAN_ERRORS:
         fx = nan
     iterates, residuals = [x0], [fx]
     x = x0
-    if fx == 0.0:  # x0 is an exact root: no step to take
+    if fx == 0.0 and _counters is None:  # x0 is an exact root: no step to take
         status, max_iter = _CONVERGED, 0
     else:
         status, max_iter = _MAX_ITER, criteria.max_iter
 
     for _ in range(max_iter):
         try:
-            # ``_step``'s formulas on the raw f and f'; each count precedes its call
+            # each count precedes its call
             n_df += 1
             dfx = df(x)
             if dfx == 0.0 or not isfinite(dfx):
@@ -292,9 +266,11 @@ def iterate(
         except _STEP_ERRORS:
             status = _BREAKDOWN
             break
+        if _counters is not None:  # a public step ends before the residual
+            break
         try:
             residual = f(x_new)
-        except MATH_ERRORS:
+        except _NAN_ERRORS:
             residual = nan
         iterates.append(x_new)
         residuals.append(residual)
@@ -308,6 +284,12 @@ def iterate(
             break
         fx = residual
 
+    if _counters is not None:
+        _counters.n_f += n_f
+        _counters.n_df += n_df
+        if status is _BREAKDOWN:
+            raise DerivativeBreakdownError
+        return x_new
     # every residual but an unused final one became the next step's f(x_n)
     steps = len(iterates) - 1
     n_diag = 1 if steps and status is not _BREAKDOWN else 0

@@ -22,7 +22,7 @@ from haarnewton.core import (
     evaluate_f,
 )
 from haarnewton.analysis import ConvergenceReport, classify, convergence_report
-from haarnewton.bench import builtin_suite, suite_entry
+from haarnewton.bench import SuiteEntry, builtin_suite, run_comparison, suite_entry
 from haarnewton.methods import (
     METHOD_TAGS,
     FsVariant,
@@ -349,6 +349,10 @@ def test_iterate_builds_its_result_without_the_record_constructors():
     assert not {"Outcome", "Trace", "EvalCounters"} & set(iterate.__code__.co_names)
 
 
+# math.exp of the complex x**0.5 raises TypeError left of 0: at x0 = -1 for f and f',
+# and from 14.75 at the first residual of fs (as printed)
+EXP_SQRT = Problem("exp-sqrt", lambda x: math.exp(x**0.5) - 2.0,
+                   lambda x: 0.5 * x**-0.5 * math.exp(x**0.5))
 COMPLEX_CASES = [
     # f and f' are complex left of 0
     (Problem("x^1.5-2", lambda x: x**1.5 - 2.0, lambda x: 1.5 * x**0.5), -1.0),
@@ -356,6 +360,8 @@ COMPLEX_CASES = [
     (Problem("sqrt-0.1", lambda x: x**0.5 - 0.1, lambda x: 0.5 * x**-0.5), 4.0),
     # f complex, f' real: the step itself returns a complex iterate
     (Problem("sqrt-abs", lambda x: x**0.5 - 0.1, lambda x: 0.5 / abs(x) ** 0.5), -1.0),
+    # math.exp of the complex x**0.5 raises TypeError: f is NaN at x0, and f' breaks down
+    (EXP_SQRT, -1.0),
 ]
 
 
@@ -388,13 +394,14 @@ def test_public_step_with_complex_result_raises_breakdown(step):
             step(problem, x0, EvalCounters())
 
 
-# klw is left out: its shifted f(x + f/f') is NaN too, which is a breakdown
+# klw is left out: its shifted f(x + f/f') is NaN too, which is a breakdown; an f that
+# raises TypeError, here on the complex (-1)**0.5, has the value NaN as iterate reads it
 @pytest.mark.parametrize(
     "step", [s for s in PUBLIC_STEPS if s is not klw_step], ids=lambda s: s.__name__
 )
 def test_public_step_returns_a_real_nan_result(step):
-    problem = Problem("nan", lambda x: math.nan, lambda x: 1.0)
-    assert math.isnan(step(problem, 1.0, EvalCounters()))
+    for f in (lambda x: math.nan, lambda x: math.exp(x**0.5)):
+        assert math.isnan(step(Problem("nan", f, lambda x: 1.0), -1.0, EvalCounters()))
 
 
 def test_iterate_rejects_non_finite_start():
@@ -753,6 +760,7 @@ def _accounting_cases():
     yield SQRT, [0.25, 3.0, 9.0, -1.0, 0.0]
     yield EXP_OVERFLOW, [700.0]
     yield INF_PAST_2, [1.5]
+    yield EXP_SQRT, [-1.0, 14.75]
 
 
 def test_counters_account_for_every_call():
@@ -773,6 +781,23 @@ def test_counters_account_for_every_call():
                     pass
                 assert (calls["f"], calls["df"], counters.n_diag) == (
                     counters.n_f, counters.n_df, 0), (problem.name, step.__name__, x0)
+
+
+def test_type_error_at_a_residual_is_a_breakdown_row():
+    # f raises TypeError at fs's first iterate (-0.894): its residual is NaN; f' breaks down there
+    [row] = run_comparison([SuiteEntry(EXP_SQRT, 14.75)], [MethodId("fs")]).rows
+    assert (row.status, row.iterations, row.root) == ("derivative-breakdown", 1, "Breakdown")
+
+
+def test_an_unclassified_error_propagates_and_leaves_the_step_counters():
+    problem = Problem("key-error", lambda x: {}[x], lambda x: 1.0)  # KeyError is no math error
+    counters = EvalCounters(1, 2, 3)
+    for step in PUBLIC_STEPS:
+        with pytest.raises(KeyError):
+            step(problem, 1.0, counters)
+    assert counters == EvalCounters(1, 2, 3)
+    with pytest.raises(KeyError):
+        iterate(MethodId("new"), problem, 1.0)
 
 
 def _polynomial(a, roots):
@@ -839,11 +864,11 @@ def test_one_node_overflow_is_a_breakdown(method):
     assert (c.n_f, c.n_df, c.n_diag) == (1, 2, 0)
 
 
-# Parity: ``iterate`` runs each step inline, a second copy of the formulas
-# in ``methods._step``, which the public steps run. One step of ``iterate``
-# from x0 must match the public step from x0: the same first iterate or
-# breakdown, and the same f and f' counts (the step's own, without the final
-# residual's n_diag).
+# Parity: each public step runs one step of ``iterate``'s loop in a private
+# mode that stops before the residual and takes the step even from an exact
+# root. Elsewhere one step of ``iterate`` from x0 must match the public step
+# from x0: the same first iterate or breakdown, and the same f and f' counts
+# (the step's own, without the final residual's n_diag).
 PUBLIC_FOR = {(ref, extra): step for step, ref, extra in STEP_PAIRS}
 
 
@@ -851,6 +876,8 @@ def _parity_cases():
     yield from _accounting_cases()
     for problem, x0 in [*COMPLEX_CASES, _mpc_case()]:
         yield problem, [x0]
+    yield LINE, [0.0]  # exact roots
+    yield QUADRATIC, [2.0, -2.0]
 
 
 def test_one_iterate_step_matches_the_public_step():
@@ -860,7 +887,11 @@ def test_one_iterate_step_matches_the_public_step():
             for method, ref, extra in ITERATE_CONFIGS:
                 out = iterate(method, problem, x0, one_step)
                 if out.iterations == 0 and out.status is Status.CONVERGED:
-                    continue  # x0 is an exact root: no step to compare
+                    # an exact root: iterate takes no step; the public step takes it, in place
+                    cost = (2, 1) if method.tag == "klw" else (1, method.step_cost - 1)
+                    assert _observe(PUBLIC_FOR[ref, extra], problem, x0, extra) == (
+                        repr(x0), *cost), (problem.name, method, x0)
+                    continue
                 c = out.trace.counters
                 first = out.trace.iterates[1:2]
                 got = (repr(first[0]) if first else "breakdown", c.n_f, c.n_df)
