@@ -7,7 +7,6 @@ from pathlib import Path
 
 import haarnewton
 from haarnewton.analysis import ConvergenceReport
-from haarnewton.bench import CSV_HEADER, ComparisonTable, TableRow
 from haarnewton.core import EvalCounters, Outcome, Trace
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,20 +26,6 @@ def run_python(*argv, stdin=b"", stdout=subprocess.PIPE, env=None, cwd=None, tim
     child = {name: value for name, value in {**child, **(env or {})}.items() if value is not None}
     return subprocess.run([sys.executable, *argv], input=stdin, stdout=stdout, stderr=subprocess.PIPE,
                           env=child, cwd=cwd, timeout=timeout)
-
-
-def parse_csv(text: str) -> ComparisonTable:
-    """Inverse of format_table(..., 'csv'); used for round-trip checks."""
-    lines = text.strip().split("\n")
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("missing or malformed csv header")
-    table = ComparisonTable()
-    for line in lines[1:]:
-        function, x0, method, status, iterations, nfe, root = line.split(",")
-        table.rows.append(
-            TableRow(function, float(x0), method, status, int(iterations), int(nfe), root)
-        )
-    return table
 
 
 def forbid_result_constructors(monkeypatch) -> None:

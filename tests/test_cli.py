@@ -158,18 +158,25 @@ def test_process_writes_the_whole_out_file(tmp_path):
     assert target.read_bytes() == (GOLDEN / "readme_compare_csv.txt").read_bytes()
 
 
+# run ends a plain process with os._exit, after the atexit handlers, so the
+# finally below runs only where run returns instead: under a sys.settrace tracer
 RUN_AFTER_ATEXIT_REGISTRATION = """
-import atexit, runpy
+import atexit, runpy, sys
 atexit.register(print, "atexit handler ran")
-runpy.run_module("haarnewton", run_name="__main__")
+{}
+try:
+    runpy.run_module("haarnewton", run_name="__main__")
+finally:
+    sys.stderr.write("run returned")
 """
 
 
 def test_process_runs_atexit_handlers_registered_before_it():
     args, code = README_COMMANDS["solve_f2_new"]
-    done = run_python("-c", RUN_AFTER_ATEXIT_REGISTRATION, *args.split())
-    assert (done.returncode, done.stderr) == (code, b"")
-    assert done.stdout == (GOLDEN / "readme_solve_f2_new.txt").read_bytes() + b"atexit handler ran\n"
+    stdout = (GOLDEN / "readme_solve_f2_new.txt").read_bytes() + b"atexit handler ran\n"
+    for tracer, stderr in (("", b""), ("sys.settrace(lambda *a: None)", b"run returned")):
+        done = run_python("-c", RUN_AFTER_ATEXIT_REGISTRATION.format(tracer), *args.split())
+        assert (done.returncode, done.stderr, done.stdout) == (code, stderr, stdout), tracer
 
 
 def test_process_under_cprofile_prints_its_stats():

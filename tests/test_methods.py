@@ -44,68 +44,6 @@ LINE = Problem("line", lambda x: x, lambda x: 1.0)
 FLAT = Problem("flat", lambda x: 1.0, lambda x: 0.0)
 
 
-def step_cost(fn, *args, **kwargs):
-    counters = EvalCounters()
-    fn(*args, counters, **kwargs)
-    return counters.n_f, counters.n_df
-
-
-def test_newton_step_value_and_cost():
-    counters = EvalCounters()
-    assert newton_step(QUADRATIC, 3.0, counters) == pytest.approx(13.0 / 6.0, rel=1e-15)
-    assert (counters.n_f, counters.n_df) == (1, 1)
-
-
-def test_newton_step_exact_on_affine():
-    assert newton_step(LINE, 7.0, EvalCounters()) == 0.0
-
-
-def test_wf_step_value_and_cost():
-    counters = EvalCounters()
-    # z = 13/6, denominator 6 + 13/3
-    assert wf_step(QUADRATIC, 3.0, counters) == pytest.approx(63.0 / 31.0, rel=1e-15)
-    assert (counters.n_f, counters.n_df) == (1, 2)
-
-
-def test_fs_step_as_printed():
-    counters = EvalCounters()
-    # inner point 3 - 10/6 = 4/3, f'(4/3) = 8/3
-    assert fs_step(QUADRATIC, 3.0, counters) == pytest.approx(1.125, rel=1e-15)
-    assert (counters.n_f, counters.n_df) == (1, 2)
-
-
-def test_fs_step_standard_midpoint_matches_wf_on_quadratic():
-    value = fs_step(QUADRATIC, 3.0, EvalCounters(), FsVariant.STANDARD_MIDPOINT)
-    assert value == pytest.approx(63.0 / 31.0, rel=1e-15)
-
-
-def test_oz_step_value_and_cost():
-    counters = EvalCounters()
-    assert oz_step(QUADRATIC, 3.0, counters) == pytest.approx(313.0 / 156.0, rel=1e-15)
-    assert (counters.n_f, counters.n_df) == (1, 2)
-
-
-def test_klw_step_value_and_cost():
-    counters = EvalCounters()
-    # auxiliary point 3 + 5/6 = 23/6
-    expected = 3.0 - ((23.0 / 6.0) ** 2 - 4.0 - 5.0) / 6.0
-    assert klw_step(QUADRATIC, 3.0, counters) == pytest.approx(expected, rel=1e-15)
-    assert (counters.n_f, counters.n_df) == (2, 1)
-
-
-def test_haar_step_against_direct_formula():
-    # oracle: the averaged-derivative step evaluated longhand
-    for points in (1, 2, 3, 8):
-        x, fx, dfx = 3.0, 5.0, 6.0
-        d = fx / dfx
-        total = sum(2.0 * (x - d * ((k - 0.5) / points)) for k in range(1, points + 1))
-        expected = x - points * fx / total
-        counters = EvalCounters()
-        got = haar_newton_step(QUADRATIC, 3.0, counters, points=points)
-        assert got == pytest.approx(expected, rel=1e-15)
-        assert (counters.n_f, counters.n_df) == (1, 1 + points)
-
-
 @pytest.mark.parametrize("points", [2.5, 2.0, math.nan, "3", 0])
 def test_haar_step_rejects_non_integral_points(points):
     counters = EvalCounters()
@@ -191,20 +129,6 @@ def test_power_of_two_scaling_leaves_iterates_bit_identical(j, tag):
     assert got.trace.iterates == ref.trace.iterates
 
 
-def test_iterate_affine_converges_in_one_step():
-    outcome = iterate(MethodId("newton"), LINE, 1.0)
-    assert outcome.status is Status.CONVERGED
-    assert outcome.iterations == 1
-    assert outcome.root == 0.0
-    assert outcome.nfe == 2
-
-
-def test_iterate_breakdown_is_an_outcome_not_an_exception():
-    outcome = iterate(MethodId("newton"), FLAT, 0.3)
-    assert outcome.status is Status.DERIVATIVE_BREAKDOWN
-    assert outcome.root == 0.3
-
-
 @pytest.mark.parametrize("tag", METHOD_TAGS)
 def test_iterate_exact_root_at_start_is_converged(tag):
     # f'(0) = 0 here, so taking a step would break down
@@ -217,18 +141,20 @@ def test_iterate_exact_root_at_start_is_converged(tag):
     assert (outcome.trace.iterates, outcome.trace.residuals) == ([0.0], [0.0])
 
 
-def test_iterate_atan_from_its_root_takes_no_step():
-    outcome = iterate(MethodId("new"), suite_entry("f3").problem, 0.0)
-    assert (outcome.status, outcome.root, outcome.iterations, outcome.nfe) == (
-        Status.CONVERGED, 0.0, 0, 1)
-
-
 EXIT_PATHS = {
     "exact-root-at-x0": (LINE, 0.0, StopCriteria(), Status.CONVERGED),
     "converged": (LINE, 1.0, StopCriteria(), Status.CONVERGED),
     "diverged": (suite_entry("f3").problem, 2.0, StopCriteria(), Status.DIVERGED),  # atan
     "max-iterations": (QUADRATIC, 10.0, StopCriteria(max_iter=1), Status.MAX_ITER),
     "breakdown": (FLAT, 0.3, StopCriteria(), Status.DERIVATIVE_BREAKDOWN),
+    # one Newton step that lands exactly on a bound: |x| equal to escape_radius has not
+    # escaped, and a step or residual equal to its tolerance has converged
+    "landing-on-escape-radius": (Problem("x-2", lambda x: x - 2.0, lambda x: 1.0), 5.0,
+                                 StopCriteria(escape_radius=2.0), Status.CONVERGED),
+    "step-on-step-tol": (Problem("one", lambda x: 1.0, lambda x: 2.0), 3.0,
+                         StopCriteria(step_tol=0.5), Status.CONVERGED),
+    "residual-on-residual-tol": (Problem("half", lambda x: 0.5, lambda x: 1.0), 3.0,
+                                 StopCriteria(residual_tol=0.5), Status.CONVERGED),
 }
 
 
