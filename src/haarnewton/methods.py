@@ -26,30 +26,31 @@ one-node rule's node. All three families share the prefix that counts,
 evaluates and checks f'(x) and computes d once. Two forks pay for themselves
 there: Newton skips the empty node sum, and a one-node rule evaluates its
 node inline; its sum then lacks node_sum's leading 0.0, which only changes
-the sign of a zero sum, a breakdown either way. The public ``*_step``
-functions run this loop too, in ``iterate``'s private one-step mode
-(``_counters``), so every step formula is written once. That mode takes the
-step even from an exact root, returns x_1 before its residual and adds the
-step's counts to the caller's ``EvalCounters``. A public step takes its
-``MethodId`` from a cache, as building one costs more than the step.
+the sign of a zero sum, a breakdown either way.
+
+Each public ``*_step`` function is one iteration of this loop, so every step
+formula is written once: ``iterate(method, problem, x, StopCriteria(max_iter=1))``,
+with the run's counts added to the caller's ``EvalCounters``, a breakdown raised as
+``DerivativeBreakdownError`` and the root returned. So from an exact root it returns
+x for 1 f; a step that does not break down counts its residual f(x_1) in ``n_diag``;
+and a non-finite x is a ``ValueError``. Its ``MethodId`` comes from a cache: building one costs more than a step.
 
 Failures are decided in one place. The loop calls f and f' directly, counts
 before each call and raises: a zero or non-finite divisor is a
 ``DerivativeBreakdownError``, and math-module errors and the TypeError of a
 complex value propagate; ``iterate`` classifies them all as
-``derivative-breakdown``, and a public step raises ``DerivativeBreakdownError``
-for them. ``quadrature.node_sum`` guards each node, and ``iterate`` only f(x0)
-and the residuals, where a math-module error or a TypeError makes f NaN, which
-means "go on". It keeps its counts in locals, each
-incremented before its call: reused residuals go to ``n_f``, the one
-residual that no step reuses to ``n_diag``. It builds its result once, after the loop, through
-``core._outcome``, which makes only the ``Outcome`` and skips its constructor, the
-largest fixed cost of a short run: it fills a fresh object of a ``core._builder``
-subclass with plain slot stores and then gives it the class ``Outcome``. The ``Trace``
-waits for its first read. It reads the
-``Status`` members only as core's module constants (``_CONVERGED``, ...),
-never as ``Status`` attributes: on Python 3.10 and 3.11 such a read costs
-over 100 ns, ten times a global's, and every run would make three.
+``derivative-breakdown``. ``quadrature.node_sum`` guards each node, and
+``iterate`` only f(x0) and the residuals, where a math-module error or a
+TypeError makes f NaN, which means "go on". It keeps its counts in locals, each
+incremented before its call: reused residuals go to ``n_f``, the one residual
+that no step reuses to ``n_diag``. It builds its result once, after the loop,
+through ``core._outcome``, which makes only the ``Outcome`` and skips its
+constructor, the largest fixed cost of a short run: it fills a fresh object of a
+``core._builder`` subclass with plain slot stores and then gives it the class
+``Outcome``. The ``Trace`` waits for its first read. It reads the ``Status``
+members only as core's module constants (``_CONVERGED``, ...), never as
+``Status`` attributes: on Python 3.10 and 3.11 such a read costs over 100 ns,
+ten times a global's, and every run would make three.
 """
 
 import enum
@@ -147,53 +148,63 @@ _STEP_ERRORS = (DerivativeBreakdownError, *_NAN_ERRORS)
 
 # the public steps' methods: building a ``MethodId`` costs more than the step it names
 _method = lru_cache(maxsize=128)(MethodId)
+_ONE_STEP = StopCriteria(max_iter=1)
+
+
+def _one_step(method: MethodId, problem: Problem, x: float, counters: EvalCounters) -> float:
+    """A public step: one ``iterate`` run from x, as the module docstring says."""
+    outcome = iterate(method, problem, x, _ONE_STEP)
+    run = outcome.trace.counters
+    counters.n_f += run.n_f
+    counters.n_df += run.n_df
+    counters.n_diag += run.n_diag
+    if outcome.status is _BREAKDOWN:
+        raise DerivativeBreakdownError
+    return outcome.root
 
 
 def newton_step(problem: Problem, x: float, counters: EvalCounters) -> float:
-    """Classic quadratic step x - f/f'. Cost: 1 f, 1 f'."""
-    return iterate(_method("newton"), problem, x, _counters=counters)
+    """Classic quadratic step x - f/f', one ``iterate`` step (see the module docstring).
+    Cost: 1 f, 1 f', and the residual f(x_1) in ``n_diag``."""
+    return _one_step(_method("newton"), problem, x, counters)
 
 
 def wf_step(problem: Problem, x: float, counters: EvalCounters) -> float:
-    """Trapezoid-average third-order step. Cost: 1 f, 2 f'."""
-    return iterate(_method("wf"), problem, x, _counters=counters)
+    """Trapezoid-average third-order step, one ``iterate`` step (see the module docstring).
+    Cost: 1 f, 2 f', and the residual f(x_1) in ``n_diag``."""
+    return _one_step(_method("wf"), problem, x, counters)
 
 
 def fs_step(problem: Problem, x: float, counters: EvalCounters,
             variant: FsVariant | str = FsVariant.AS_PRINTED) -> float:
-    """Midpoint-family step in either inner-point convention. Cost: 1 f, 2 f'.
-
-    ``variant`` is an ``FsVariant`` or its value; anything else is a ``ValueError``.
-    """
-    return iterate(_method("fs", 2, FsVariant(variant)), problem, x, _counters=counters)
+    """Midpoint-family step in either inner-point convention, one ``iterate`` step (see the
+    module docstring). Cost: 1 f, 2 f', and the residual f(x_1) in ``n_diag``.
+    ``variant`` is an ``FsVariant`` or its value; anything else is a ``ValueError``."""
+    return _one_step(_method("fs", 2, FsVariant(variant)), problem, x, counters)
 
 
 def oz_step(problem: Problem, x: float, counters: EvalCounters) -> float:
-    """Arithmetic-mean-of-inverses third-order step. Cost: 1 f, 2 f'."""
-    return iterate(_method("oz"), problem, x, _counters=counters)
+    """Arithmetic-mean-of-inverses third-order step, one ``iterate`` step (see the module
+    docstring). Cost: 1 f, 2 f', and the residual f(x_1) in ``n_diag``."""
+    return _one_step(_method("oz"), problem, x, counters)
 
 
 def klw_step(problem: Problem, x: float, counters: EvalCounters) -> float:
-    """Difference-quotient third-order step. Cost: 2 f, 1 f'."""
-    return iterate(_method("klw"), problem, x, _counters=counters)
+    """Difference-quotient third-order step, one ``iterate`` step (see the module docstring).
+    Cost: 2 f, 1 f', and the residual f(x_1) in ``n_diag``."""
+    return _one_step(_method("klw"), problem, x, counters)
 
 
-def haar_newton_step(
-    problem: Problem, x: float, counters: EvalCounters, points: int = 2
-) -> float:
-    """Wavelet-quadrature modified Newton step with P nodes. Cost: 1 f, 1+P f'."""
+def haar_newton_step(problem: Problem, x: float, counters: EvalCounters,
+                     points: int = 2) -> float:
+    """Wavelet-quadrature modified Newton step with P nodes, one ``iterate`` step (see the
+    module docstring). Cost: 1 f, 1+P f', and the residual f(x_1) in ``n_diag``."""
     midpoint_fractions(points)  # a bad P is a "node count" error, before any evaluation
-    return iterate(_method("new", points), problem, x, _counters=counters)
+    return _one_step(_method("new", points), problem, x, counters)
 
 
-def iterate(
-    method: MethodId,
-    problem: Problem,
-    x0: float,
-    criteria: StopCriteria = StopCriteria(),
-    *,
-    _counters: EvalCounters | None = None,
-) -> Outcome:
+def iterate(method: MethodId, problem: Problem, x0: float,
+            criteria: StopCriteria = StopCriteria()) -> Outcome:
     """Run a method from x0 until a stopping condition triggers.
 
     Never raises for numerical trouble: a failed step (zero or non-finite
@@ -202,13 +213,8 @@ def iterate(
     An exact root at x0 is converged after 0 iterations and 1 evaluation.
     The final residual, used only for the stop test, is recorded in the
     trace and counted in ``n_diag``, outside the evaluation count.
-
-    ``_counters`` is the public steps' one-step mode: the step is taken even
-    from an exact root, x_1 is returned before its residual, the step's f and
-    f' counts are added to ``_counters``, and a breakdown, counted too, raises
-    ``DerivativeBreakdownError``. x0 is then not checked.
     """
-    if _counters is None and not isfinite(x0):
+    if not isfinite(x0):
         raise ValueError("x0 must be finite")
 
     f, df = problem.f, problem.df
@@ -222,7 +228,7 @@ def iterate(
         fx = nan
     iterates, residuals = [x0], [fx]
     x = x0
-    if fx == 0.0 and _counters is None:  # x0 is an exact root: no step to take
+    if fx == 0.0:  # x0 is an exact root: no step to take
         status, max_iter = _CONVERGED, 0
     else:
         status, max_iter = _MAX_ITER, criteria.max_iter
@@ -266,8 +272,6 @@ def iterate(
         except _STEP_ERRORS:
             status = _BREAKDOWN
             break
-        if _counters is not None:  # a public step ends before the residual
-            break
         try:
             residual = f(x_new)
         except _NAN_ERRORS:
@@ -284,12 +288,6 @@ def iterate(
             break
         fx = residual
 
-    if _counters is not None:
-        _counters.n_f += n_f
-        _counters.n_df += n_df
-        if status is _BREAKDOWN:
-            raise DerivativeBreakdownError
-        return x_new
     # every residual but an unused final one became the next step's f(x_n)
     steps = len(iterates) - 1
     n_diag = 1 if steps and status is not _BREAKDOWN else 0

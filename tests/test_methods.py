@@ -1,4 +1,5 @@
 import copy
+import inspect
 import math
 import pickle
 import random
@@ -51,31 +52,6 @@ def test_haar_step_rejects_non_integral_points(points):
     with pytest.raises(ValueError, match=f"node count {message}"):
         haar_newton_step(QUADRATIC, 3.0, counters, points=points)
     assert (counters.n_f, counters.n_df) == (0, 0)
-
-
-@pytest.mark.parametrize(
-    "step",
-    [newton_step, wf_step, fs_step, oz_step, klw_step, haar_newton_step],
-)
-def test_steps_breakdown_on_zero_derivative(step):
-    with pytest.raises(DerivativeBreakdownError):
-        step(FLAT, 0.5, EvalCounters())
-
-
-@given(
-    root=st.floats(min_value=-10, max_value=10),
-    slope=st.floats(min_value=0.1, max_value=100),
-    curvature=st.floats(min_value=-5, max_value=5),
-)
-def test_fixed_point_at_exact_root(root, slope, curvature):
-    problem = Problem(
-        "rooted",
-        lambda x: (x - root) * (slope + curvature * (x - root)),
-        lambda x: slope + 2.0 * curvature * (x - root),
-    )
-    for step in (newton_step, wf_step, fs_step, oz_step, klw_step):
-        assert step(problem, root, EvalCounters()) == root
-    assert haar_newton_step(problem, root, EvalCounters(), points=3) == root
 
 
 @given(
@@ -275,6 +251,11 @@ def test_iterate_builds_its_result_without_the_record_constructors():
     assert not {"Outcome", "Trace", "EvalCounters"} & set(iterate.__code__.co_names)
 
 
+def test_iterate_has_one_mode():
+    # a public step is a call of iterate with max_iter=1, not a mode of its own
+    assert list(inspect.signature(iterate).parameters) == ["method", "problem", "x0", "criteria"]
+
+
 # math.exp of the complex x**0.5 raises TypeError left of 0: at x0 = -1 for f and f',
 # and from 14.75 at the first residual of fs (as printed)
 EXP_SQRT = Problem("exp-sqrt", lambda x: math.exp(x**0.5) - 2.0,
@@ -305,17 +286,14 @@ def test_complex_values_are_a_breakdown_not_an_exception(tag, problem, x0):
 PUBLIC_STEPS = [newton_step, wf_step, fs_step, oz_step, klw_step, haar_newton_step]
 
 
-def _mpc_case():
-    """f an ``mpmath.mpc``, f' a real ``mpf``: the step's result is an mpc, not a ``complex``."""
-    import mpmath
-
-    return Problem("mpc", lambda x: mpmath.mpc(x, 1) - 2, lambda x: mpmath.mpf(1)), mpmath.mpf(3)
-
-
 # a Python complex and an mpmath.mpc result; ``isinstance(x, complex)`` misses the mpc
 @pytest.mark.parametrize("step", PUBLIC_STEPS, ids=lambda s: s.__name__)
 def test_public_step_with_complex_result_raises_breakdown(step):
-    for problem, x0 in (COMPLEX_CASES[2], _mpc_case()):
+    import mpmath
+
+    # f an mpc, f' a real mpf: the step's result is an mpc, not a ``complex``
+    mpc = Problem("mpc", lambda x: mpmath.mpc(x, 1) - 2, lambda x: mpmath.mpf(1))
+    for problem, x0 in (COMPLEX_CASES[2], (mpc, mpmath.mpf(3))):
         with pytest.raises(DerivativeBreakdownError):
             step(problem, x0, EvalCounters())
 
@@ -331,8 +309,14 @@ def test_public_step_returns_a_real_nan_result(step):
 
 
 def test_iterate_rejects_non_finite_start():
-    with pytest.raises(ValueError):
-        iterate(MethodId("newton"), QUADRATIC, math.inf)
+    for x0 in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            iterate(MethodId("newton"), QUADRATIC, x0)
+        for step in PUBLIC_STEPS:  # before any evaluation
+            counters = EvalCounters()
+            with pytest.raises(ValueError, match="x0 must be finite"):
+                step(QUADRATIC, x0, counters)
+            assert counters == EvalCounters(), (step.__name__, x0)
 
 
 @pytest.mark.parametrize(
@@ -408,8 +392,8 @@ def test_tight_step_tolerance_counts_stay_consistent():
 
 
 # Reference: each step formula written out longhand, one function per
-# method, evaluating in the same order as the library. The library must
-# match these bit for bit, including the evaluation counts.
+# method, evaluating in the same order as the library. The public steps must
+# match these bit for bit, including the evaluation counts, away from exact roots.
 
 
 def _ref_require(value):
@@ -488,7 +472,7 @@ def _observe(step, problem, x, extra):
         value = repr(step(problem, x, counters, *extra))
     except DerivativeBreakdownError:
         value = "breakdown"
-    return value, counters.n_f, counters.n_df
+    return value, counters.n_f, counters.n_df, counters.n_diag
 
 
 @pytest.mark.parametrize("entry", builtin_suite(), ids=lambda e: e.problem.name)
@@ -497,10 +481,14 @@ def test_steps_match_longhand_reference_bitwise(entry):
     starts = [entry.x0, 0.0, 30.0, -30.0]
     starts += [entry.x0 + rng.uniform(-4.0, 4.0) for _ in range(150)]
     for x in starts:
+        exact_root = entry.problem.f(x) == 0.0
         for step, ref, extra in STEP_PAIRS:
-            assert _observe(step, entry.problem, x, extra) == _observe(
-                ref, entry.problem, x, extra
-            ), (step.__name__, extra, x)
+            if exact_root:  # a public step takes no step from an exact root: x for 1 f
+                want = (repr(x), 1, 0, 0)
+            else:  # and counts its residual f(x_1) in n_diag, unless it broke down
+                value, n_f, n_df, _ = _observe(ref, entry.problem, x, extra)
+                want = (value, n_f, n_df, int(value != "breakdown"))
+            assert _observe(step, entry.problem, x, extra) == want, (step.__name__, extra, x)
 
 
 def test_step_cost_and_label_for_every_configuration():
@@ -705,8 +693,8 @@ def test_counters_account_for_every_call():
                     step(problem, x0, counters, *extra)
                 except DerivativeBreakdownError:
                     pass
-                assert (calls["f"], calls["df"], counters.n_diag) == (
-                    counters.n_f, counters.n_df, 0), (problem.name, step.__name__, x0)
+                assert (calls["f"], calls["df"]) == (
+                    counters.n_f + counters.n_diag, counters.n_df), (problem.name, step.__name__, x0)
 
 
 def test_type_error_at_a_residual_is_a_breakdown_row():
@@ -716,14 +704,16 @@ def test_type_error_at_a_residual_is_a_breakdown_row():
 
 
 def test_an_unclassified_error_propagates_and_leaves_the_step_counters():
-    problem = Problem("key-error", lambda x: {}[x], lambda x: 1.0)  # KeyError is no math error
-    counters = EvalCounters(1, 2, 3)
-    for step in PUBLIC_STEPS:
+    # KeyError is no math error: from f at x0, and from f past x0, at x_1 or klw's shifted f
+    for problem in (Problem("key-error", lambda x: {}[x], lambda x: 1.0),
+                    Problem("key-error-past-1", lambda x: {1.0: 1.0}[x], lambda x: 1.0)):
+        counters = EvalCounters(1, 2, 3)
+        for step in PUBLIC_STEPS:
+            with pytest.raises(KeyError):
+                step(problem, 1.0, counters)
+        assert counters == EvalCounters(1, 2, 3), problem.name
         with pytest.raises(KeyError):
-            step(problem, 1.0, counters)
-    assert counters == EvalCounters(1, 2, 3)
-    with pytest.raises(KeyError):
-        iterate(MethodId("new"), problem, 1.0)
+            iterate(MethodId("new"), problem, 1.0)
 
 
 def _polynomial(a, roots):
@@ -788,39 +778,3 @@ def test_one_node_overflow_is_a_breakdown(method):
     c = out.trace.counters
     assert out.status is Status.DERIVATIVE_BREAKDOWN and out.iterations == 0
     assert (c.n_f, c.n_df, c.n_diag) == (1, 2, 0)
-
-
-# Parity: each public step runs one step of ``iterate``'s loop in a private
-# mode that stops before the residual and takes the step even from an exact
-# root. Elsewhere one step of ``iterate`` from x0 must match the public step
-# from x0: the same first iterate or breakdown, and the same f and f' counts
-# (the step's own, without the final residual's n_diag).
-PUBLIC_FOR = {(ref, extra): step for step, ref, extra in STEP_PAIRS}
-
-
-def _parity_cases():
-    yield from _accounting_cases()
-    for problem, x0 in [*COMPLEX_CASES, _mpc_case()]:
-        yield problem, [x0]
-    yield LINE, [0.0]  # exact roots
-    yield QUADRATIC, [2.0, -2.0]
-
-
-def test_one_iterate_step_matches_the_public_step():
-    one_step = StopCriteria(max_iter=1)
-    for problem, starts in _parity_cases():
-        for x0 in starts:
-            for method, ref, extra in ITERATE_CONFIGS:
-                out = iterate(method, problem, x0, one_step)
-                if out.iterations == 0 and out.status is Status.CONVERGED:
-                    # an exact root: iterate takes no step; the public step takes it, in place
-                    cost = (2, 1) if method.tag == "klw" else (1, method.step_cost - 1)
-                    assert _observe(PUBLIC_FOR[ref, extra], problem, x0, extra) == (
-                        repr(x0), *cost), (problem.name, method, x0)
-                    continue
-                c = out.trace.counters
-                first = out.trace.iterates[1:2]
-                got = (repr(first[0]) if first else "breakdown", c.n_f, c.n_df)
-                assert (out.status is Status.DERIVATIVE_BREAKDOWN) == (not first)
-                assert got == _observe(PUBLIC_FOR[ref, extra], problem, x0, extra), (
-                    problem.name, method, x0)
