@@ -216,26 +216,25 @@ def _outcome(status: Status, root: float, iterations: int, iterates: list[float]
     return outcome
 
 
-MATH_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
+# the one rule for an evaluation that raises: these make its value NaN. The math module's
+# errors, and the TypeError of a complex value, as math.exp(x**0.5) raises for x < 0
+NAN_ERRORS = (OverflowError, ValueError, ZeroDivisionError, TypeError)
 
 
 def evaluate_f(problem: Problem, x: float, counters: EvalCounters) -> float:
-    """Evaluate f(x), counting the call. Non-finite results are returned as-is.
-
-    math-module errors (overflow, domain) become NaN so callers can classify
-    the point instead of crashing.
-    """
+    """Evaluate f(x), counting the call. Non-finite results are returned as-is,
+    and an error in ``NAN_ERRORS`` becomes NaN so callers can classify the point."""
     counters.n_f += 1
     try:
         return problem.f(x)
-    except MATH_ERRORS:
+    except NAN_ERRORS:
         return math.nan
 
 
 def evaluate_df(problem: Problem, x: float, counters: EvalCounters) -> float:
-    """Evaluate f'(x), counting the call. Zero/non-finite values propagate."""
+    """Evaluate f'(x), counting the call, as ``evaluate_f`` evaluates f."""
     counters.n_df += 1
     try:
         return problem.df(x)
-    except MATH_ERRORS:
+    except NAN_ERRORS:
         return math.nan

@@ -35,15 +35,16 @@ with the run's counts added to the caller's ``EvalCounters``, a breakdown raised
 x for 1 f; a step that does not break down counts its residual f(x_1) in ``n_diag``;
 and a non-finite x is a ``ValueError``. Its ``MethodId`` comes from a cache: building one costs more than a step.
 
-Failures are decided in one place. The loop calls f and f' directly, counts
-before each call and raises: a zero or non-finite divisor is a
-``DerivativeBreakdownError``, and math-module errors and the TypeError of a
-complex value propagate; ``iterate`` classifies them all as
-``derivative-breakdown``. ``quadrature.node_sum`` guards each node, and
-``iterate`` only f(x0) and the residuals, where a math-module error or a
-TypeError makes f NaN, which means "go on". It keeps its counts in locals, each
-incremented before its call: reused residuals go to ``n_f``, the one residual
-that no step reuses to ``n_diag``. It builds its result once, after the loop,
+Failures are decided in one place, and one rule, ``core.NAN_ERRORS`` (the
+math-module errors and the TypeError of a complex value), says which errors
+read as NaN. The loop calls f and f' directly, counts before each call and
+raises: a zero or non-finite divisor is a ``DerivativeBreakdownError``, and an
+error in ``NAN_ERRORS`` propagates; ``iterate`` classifies them all as
+``derivative-breakdown``. ``quadrature.node_sum`` reads such an error at a node
+as NaN, so every node is called and the count is exact, and ``iterate`` reads it
+at f(x0) and at the residuals as NaN, which means "go on". It keeps its counts
+in locals, each incremented before its call: reused residuals go to ``n_f``,
+the one residual that no step reuses to ``n_diag``. It builds its result once, after the loop,
 through ``core._outcome``, which makes only the ``Outcome`` and skips its
 constructor, the largest fixed cost of a short run: it fills a fresh object of a
 ``core._builder`` subclass with plain slot stores and then gives it the class
@@ -62,7 +63,7 @@ from .core import (
     _CONVERGED,
     _DIVERGED,
     _MAX_ITER,
-    MATH_ERRORS,
+    NAN_ERRORS,
     DerivativeBreakdownError,
     EvalCounters,
     FrozenRecord,
@@ -141,10 +142,8 @@ class MethodId(FrozenRecord):
         self._store(tag, points, variant, *_RULES[tag](points, variant))
 
 
-# f raising one of these at x0 or at a residual has the value NaN there
-_NAN_ERRORS = (TypeError, *MATH_ERRORS)
 # every way a step can fail; caught only by ``iterate``
-_STEP_ERRORS = (DerivativeBreakdownError, *_NAN_ERRORS)
+_STEP_ERRORS = (DerivativeBreakdownError, *NAN_ERRORS)
 
 # the public steps' methods: building a ``MethodId`` costs more than the step it names
 _method = lru_cache(maxsize=128)(MethodId)
@@ -224,7 +223,7 @@ def iterate(method: MethodId, problem: Problem, x0: float,
     n_f, n_df = 1, 0
     try:
         fx = f(x0)
-    except _NAN_ERRORS:
+    except NAN_ERRORS:
         fx = nan
     iterates, residuals = [x0], [fx]
     x = x0
@@ -246,7 +245,7 @@ def iterate(method: MethodId, problem: Problem, x0: float,
                     x_new = x - d
                 else:
                     n_df += n
-                    if n == 1:  # a math-module error here is a breakdown below
+                    if n == 1:  # an error in NAN_ERRORS here is a breakdown below
                         total = df(x + -d * c)
                     else:
                         total = node_sum(df, x, -d, fractions)
@@ -274,7 +273,7 @@ def iterate(method: MethodId, problem: Problem, x0: float,
             break
         try:
             residual = f(x_new)
-        except _NAN_ERRORS:
+        except NAN_ERRORS:
             residual = nan
         iterates.append(x_new)
         residuals.append(residual)

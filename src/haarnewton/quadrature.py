@@ -12,7 +12,7 @@ from collections.abc import Callable
 from functools import lru_cache
 from math import nan
 
-from .core import MATH_ERRORS, as_count
+from .core import NAN_ERRORS, as_count
 
 
 @lru_cache(maxsize=128, typed=True)
@@ -32,14 +32,14 @@ def node_sum(
 ) -> float:
     """Sum of g(a + width*c) over fractions c, left to right.
 
-    This is the one node guard: a node where g raises a math-module error
+    This is the one node guard: a node where g raises one of ``NAN_ERRORS``
     adds NaN, so g is called exactly once per fraction and the sum is NaN.
     """
     total = 0.0
     for c in fractions:
         try:
             total += g(a + width * c)
-        except MATH_ERRORS:
+        except NAN_ERRORS:
             total += nan
     return total
 
@@ -51,8 +51,8 @@ def haar_indefinite_integral(
 
     Returns ((b-a)/P) * sum_{k=1..P} g(a + (b-a)(k-0.5)/P). Always performs
     exactly P evaluations of g; accumulation is plain left-to-right so the
-    result is deterministic. A node where g raises a math-module error makes
-    the result NaN (0.0 on an empty interval).
+    result is deterministic. A node where g raises an error in
+    ``core.NAN_ERRORS`` makes the result NaN (0.0 on an empty interval).
     """
     width, fractions = b - a, midpoint_fractions(points)
     total = node_sum(g, a, width, fractions)

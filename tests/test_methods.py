@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from haarnewton.core import (
-    MATH_ERRORS,
+    NAN_ERRORS,
     DerivativeBreakdownError,
     EvalCounters,
     Outcome,
@@ -54,40 +54,6 @@ def test_haar_step_rejects_non_integral_points(points):
     assert (counters.n_f, counters.n_df) == (0, 0)
 
 
-@given(
-    a=st.floats(min_value=0.1, max_value=5),
-    b=st.floats(min_value=-5, max_value=5),
-    c=st.floats(min_value=-5, max_value=5),
-    x=st.floats(min_value=-3, max_value=3),
-    points=st.integers(min_value=1, max_value=9),
-)
-@example(a=1.5413412162146938, b=1.541015625, c=1.541015625, x=6.103515625e-05, points=1)
-def test_quadratic_coincidence(a, b, c, x, points):
-    # any symmetric midpoint average of an affine f' is its midpoint value,
-    # so on quadratics all three steps agree
-    problem = Problem(
-        "quad",
-        lambda t: a * t * t + b * t + c,
-        lambda t: 2.0 * a * t + b,
-    )
-    dfx = problem.df(x)
-    if abs(dfx) < 1e-3:
-        return
-    try:
-        wf = wf_step(problem, x, EvalCounters())
-        fs = fs_step(problem, x, EvalCounters(), FsVariant.STANDARD_MIDPOINT)
-        hn = haar_newton_step(problem, x, EvalCounters(), points=points)
-    except DerivativeBreakdownError:
-        return
-    # the wf denominator f'(x) + f'(z) can cancel; kappa is its condition number
-    z = x - problem.f(x) / dfx
-    dfz = problem.df(z)
-    kappa = (abs(dfx) + abs(dfz)) / abs(dfx + dfz)
-    scale = kappa * max(abs(wf - x), abs(x), 1.0)
-    assert abs(wf - fs) <= 1e-13 * scale
-    assert abs(wf - hn) <= 1e-13 * scale
-
-
 @settings(deadline=None)
 @given(
     j=st.integers(min_value=-20, max_value=20),
@@ -123,6 +89,9 @@ EXIT_PATHS = {
     "diverged": (suite_entry("f3").problem, 2.0, StopCriteria(), Status.DIVERGED),  # atan
     "max-iterations": (QUADRATIC, 10.0, StopCriteria(max_iter=1), Status.MAX_ITER),
     "breakdown": (FLAT, 0.3, StopCriteria(), Status.DERIVATIVE_BREAKDOWN),
+    # an infinite f' is a breakdown too, not a zero Newton step that has converged
+    "breakdown-on-inf-derivative": (Problem("inf-slope", lambda x: 1.0, lambda x: math.inf), 0.3,
+                                    StopCriteria(), Status.DERIVATIVE_BREAKDOWN),
     # one Newton step that lands exactly on a bound: |x| equal to escape_radius has not
     # escaped, and a step or residual equal to its tolerance has converged
     "landing-on-escape-radius": (Problem("x-2", lambda x: x - 2.0, lambda x: 1.0), 5.0,
@@ -340,13 +309,6 @@ def test_nfe_is_step_cost_times_iterations(method, expected_cost):
     assert outcome.iterations == len(outcome.trace.iterates) - 1
 
 
-def test_trace_residuals_match_recorded_evaluations():
-    entry = suite_entry("f2")
-    outcome = iterate(MethodId("new"), entry.problem, entry.x0)
-    for x, r in zip(outcome.trace.iterates, outcome.trace.residuals):
-        assert r == entry.problem.f(x)
-
-
 def test_method_id_validation():
     with pytest.raises(ValueError):
         MethodId("brent")
@@ -381,14 +343,6 @@ def test_fs_step_rejects_unknown_variant_before_evaluating():
     with pytest.raises(ValueError):
         fs_step(QUADRATIC, 3.0, counters, "bogus")
     assert (counters.n_f, counters.n_df) == (0, 0)
-
-
-def test_tight_step_tolerance_counts_stay_consistent():
-    criteria = StopCriteria(step_tol=1e-12, residual_tol=1e-12, max_iter=50)
-    entry = suite_entry("f7")
-    outcome = iterate(MethodId("oz"), entry.problem, entry.x0, criteria)
-    assert outcome.status is Status.CONVERGED
-    assert outcome.nfe == 3 * outcome.iterations
 
 
 # Reference: each step formula written out longhand, one function per
@@ -574,7 +528,7 @@ def test_iterate_runs_on_mpf_values(method):
 def _uncounted(problem, x):
     try:
         return problem.f(x)
-    except MATH_ERRORS:
+    except NAN_ERRORS:
         return math.nan
 
 
@@ -663,6 +617,10 @@ SQRT = Problem("sqrt-1", lambda x: math.sqrt(x) - 1.0, lambda x: 0.5 / math.sqrt
 # from 700, f/f' ~ -1e4 puts every node of the first step past 709.78, where
 # exp raises OverflowError, while f and f' at x are finite
 EXP_OVERFLOW = Problem("exp-1e308", lambda x: math.exp(x) - 1e308, math.exp)
+# from 1, the first step's wavelet nodes left of 0 raise TypeError part-way through
+# the node sum: every node is still called, and the step breaks down
+EXP_SQRT_1 = Problem("exp-sqrt-1", lambda x: math.exp(x**0.5) - 1.0,
+                     lambda x: math.exp(x**0.5) / (2.0 * x**0.5))
 # from 1.5 klw's shifted f is evaluated at 2, where f is inf: a breakdown for the
 # public step and for iterate, which must not report it as a diverged iterate
 INF_PAST_2 = Problem("inf-past-2", lambda x: x - 1.0 if x < 2.0 else math.inf, lambda x: 1.0)
@@ -675,6 +633,7 @@ def _accounting_cases():
     yield EXP_OVERFLOW, [700.0]
     yield INF_PAST_2, [1.5]
     yield EXP_SQRT, [-1.0, 14.75]
+    yield EXP_SQRT_1, [1.0]
 
 
 def test_counters_account_for_every_call():

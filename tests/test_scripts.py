@@ -1,16 +1,19 @@
 """The experiment script against its golden stdout, and the golden checker
 against the golden directory; the README lists exactly the scripts there
 are. Also the CI workflow's pinned test dependencies against pyproject.toml's
-``test`` extra, its expected failures against the criterion-3 runs, and the
-console script against the CLI's process entry."""
+``test`` extra, its expected failures against the criterion-3 runs, the
+console script against the CLI's process entry, and the kill-matrix tool's
+mutants, enumerated without running one."""
 
 import importlib
 import re
+from collections import Counter
 
 from haarnewton import cli
 from haarnewton.core import Status
 
 import goldens
+import mutants
 from helpers import ROOT
 from test_acceptance import DIVERGENT_IDS, REFERENCE_DIVERGENT, run_cell
 
@@ -63,3 +66,19 @@ def test_console_script_resolves_to_cli_main():
     [(name, module, attr)] = re.findall(r'^(\S+) = "([\w.]+):(\w+)"$', scripts, re.M)
     assert name == "haarnewton"
     assert getattr(importlib.import_module(module), attr) is cli.run
+
+
+# mutants per module; CI's 3.10-3.13 matrix checks that every version enumerates these
+# (3.12 tokenizes f-strings apart, so mutants.py skips operators inside them)
+MUTANTS_PER_MODULE = {"core": 17, "quadrature": 11, "methods": 61, "analysis": 29, "bench": 48, "cli": 37}
+
+
+def test_mutants_are_enumerated_the_same_every_run_and_each_compiles():
+    every = mutants.mutants()
+    assert every == mutants.mutants()
+    assert Counter(mutant.module for mutant in every) == MUTANTS_PER_MODULE
+    for mutant in every:
+        compile(mutant.source, f"{mutant.module}.py", "exec")
+    # each equivalent entry names exactly one mutant, so a stale entry fails
+    keys = Counter((mutant.module, mutant.text, mutant.swap) for mutant in every)
+    assert {key: keys[key] for key in mutants.EQUIVALENT} == dict.fromkeys(mutants.EQUIVALENT, 1)
