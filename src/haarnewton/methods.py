@@ -45,10 +45,8 @@ as NaN, so every node is called and the count is exact, and ``iterate`` reads it
 at f(x0) and at the residuals as NaN, which means "go on". It keeps its counts
 in locals, each incremented before its call: reused residuals go to ``n_f``,
 the one residual that no step reuses to ``n_diag``. It builds its result once, after the loop,
-through ``core._outcome``, which makes only the ``Outcome`` and skips its
-constructor, the largest fixed cost of a short run: it fills a fresh object of a
-``core._builder`` subclass with plain slot stores and then gives it the class
-``Outcome``. The ``Trace`` waits for its first read. It reads the ``Status``
+through ``core._outcome``, which skips the record constructors, the largest fixed cost of a
+short run (its docstring says how). It reads the ``Status``
 members only as core's module constants (``_CONVERGED``, ...), never as
 ``Status`` attributes: on Python 3.10 and 3.11 such a read costs over 100 ns,
 ten times a global's, and every run would make three.
@@ -101,22 +99,15 @@ def _spec(family: str, fractions: tuple = (), endpoint: bool = False) -> tuple:
     return family, fractions, endpoint, n, float(n + endpoint), fractions[0] if n == 1 else None
 
 
-# tag -> (haar_points, fs_variant) -> (family spec, f plus f' evaluations per step, label)
+# tag -> (haar_points, fs_variant) -> (family spec, label)
 _RULES = {
-    "newton": lambda p, v: (_spec(_AVERAGING, (), True), 2, "newton"),
-    "wf": lambda p, v: (_spec(_AVERAGING, (1.0,), True), 3, "wf"),
-    "fs": lambda p, v: (
-        _spec(_AVERAGING, _FS_FRACTIONS[v]),
-        3,
-        "fs" if v is FsVariant.AS_PRINTED else "fs(std)",
-    ),
-    "oz": lambda p, v: (_spec(_OZ), 3, "oz"),
-    "klw": lambda p, v: (_spec(_KLW), 3, "klw"),
-    "new": lambda p, v: (
-        _spec(_AVERAGING, midpoint_fractions(p)),
-        2 + p,
-        "new" if p == 2 else f"new[P={p}]",
-    ),
+    "newton": lambda p, v: (_spec(_AVERAGING, (), True), "newton"),
+    "wf": lambda p, v: (_spec(_AVERAGING, (1.0,), True), "wf"),
+    "fs": lambda p, v: (_spec(_AVERAGING, _FS_FRACTIONS[v]),
+                        "fs" if v is FsVariant.AS_PRINTED else "fs(std)"),
+    "oz": lambda p, v: (_spec(_OZ), "oz"),
+    "klw": lambda p, v: (_spec(_KLW), "klw"),
+    "new": lambda p, v: (_spec(_AVERAGING, midpoint_fractions(p)), "new" if p == 2 else f"new[P={p}]"),
 }
 
 METHOD_TAGS = tuple(_RULES)
@@ -127,8 +118,8 @@ class MethodId(FrozenRecord):
 
     ``haar_points`` only matters for tag "new"; ``fs_variant`` only for "fs".
     ``fs_variant`` is an ``FsVariant`` or its string value; anything else is a
-    ``ValueError``. ``family``, ``step_cost`` and ``label`` come from the
-    method table; they are left out of the repr and of equality.
+    ``ValueError``. ``family`` and ``label`` come from the method table and
+    ``step_cost`` from the family; they are left out of the repr and of equality.
     """
 
     _fields = ("tag", "haar_points", "fs_variant")
@@ -139,7 +130,10 @@ class MethodId(FrozenRecord):
         if tag not in METHOD_TAGS:
             raise ValueError(f"unknown method tag {tag!r}; expected one of {METHOD_TAGS}")
         points, variant = as_count(haar_points, "haar_points"), FsVariant(fs_variant)
-        self._store(tag, points, variant, *_RULES[tag](points, variant))
+        family, label = _RULES[tag](points, variant)
+        # f(x) and f'(x), then f' at each node, or oz's one f' or klw's one f
+        step_cost = 2 + family[3] if family[0] is _AVERAGING else 3
+        self._store(tag, points, variant, family, step_cost, label)
 
 
 # every way a step can fail; caught only by ``iterate``
@@ -198,8 +192,8 @@ def haar_newton_step(problem: Problem, x: float, counters: EvalCounters,
                      points: int = 2) -> float:
     """Wavelet-quadrature modified Newton step with P nodes, one ``iterate`` step (see the
     module docstring). Cost: 1 f, 1+P f', and the residual f(x_1) in ``n_diag``."""
-    midpoint_fractions(points)  # a bad P is a "node count" error, before any evaluation
-    return _one_step(_method("new", points), problem, x, counters)
+    # a bad P is a "node count" error, before any evaluation
+    return _one_step(_method("new", as_count(points, "node count")), problem, x, counters)
 
 
 def iterate(method: MethodId, problem: Problem, x0: float,

@@ -15,15 +15,17 @@ from math import nan
 from .core import NAN_ERRORS, as_count
 
 
-@lru_cache(maxsize=128, typed=True)
 def midpoint_fractions(points: int) -> tuple[float, ...]:
     """Node positions (k - 0.5)/P, k = 1..P, as fractions of the interval.
 
-    Memoised: the tuple is immutable, so callers with the same P share it;
-    keyed by type as well, so an equal P of another integer type gets its own.
-    A non-integral P is a ``ValueError``, as is P < 1.
+    P is checked on every call: a non-integral P is a ``ValueError``, as is P < 1.
+    The immutable table is memoised by the checked int, so equal counts share it.
     """
-    points = as_count(points, "node count")
+    return _fractions(as_count(points, "node count"))
+
+
+@lru_cache(maxsize=128)
+def _fractions(points: int) -> tuple[float, ...]:
     return tuple((k - 0.5) / points for k in range(1, points + 1))
 
 

@@ -45,7 +45,7 @@ LINE = Problem("line", lambda x: x, lambda x: 1.0)
 FLAT = Problem("flat", lambda x: 1.0, lambda x: 0.0)
 
 
-@pytest.mark.parametrize("points", [2.5, 2.0, math.nan, "3", 0])
+@pytest.mark.parametrize("points", [2.5, 2.0, math.nan, "3", 0, [4]])
 def test_haar_step_rejects_non_integral_points(points):
     counters = EvalCounters()
     message = "must be >= 1" if points == 0 else "must be an integer"

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from haarnewton.core import EvalCounters, Problem
+from haarnewton.methods import haar_newton_step
 from haarnewton.quadrature import haar_indefinite_integral, midpoint_fractions
 
 
@@ -51,7 +53,7 @@ def test_midpoint_fractions_are_memoised_and_still_validate_every_call():
             midpoint_fractions(0)
 
 
-@pytest.mark.parametrize("points", [2.5, 2.0, math.nan, "3", 0])
+@pytest.mark.parametrize("points", [2.5, 2.0, math.nan, "3", 0, [4]])
 def test_non_integral_node_count_is_a_value_error(points):
     message = "must be >= 1" if points == 0 else "must be an integer"
     with pytest.raises(ValueError, match=f"node count {message}"):
@@ -65,9 +67,19 @@ def test_node_count_may_be_any_object_that_indexes_to_an_int():
         def __index__(self):
             return 4
 
-    assert midpoint_fractions(Four()) == midpoint_fractions(4)
-    assert haar_indefinite_integral(math.exp, 0.0, 1.0, Four()) == haar_indefinite_integral(
-        math.exp, 0.0, 1.0, 4)
+    class UnhashableFour(Four):  # defining __eq__ sets __hash__ to None
+        def __eq__(self, other):
+            return isinstance(other, UnhashableFour)
+
+    problem = Problem("cos", math.cos, lambda t: -math.sin(t))
+    for four in (Four(), UnhashableFour()):
+        assert midpoint_fractions(four) is midpoint_fractions(4)
+        assert haar_indefinite_integral(math.cos, 0.0, 1.0, four) == haar_indefinite_integral(
+            math.cos, 0.0, 1.0, 4)
+        counters, expected = EvalCounters(), EvalCounters()
+        assert haar_newton_step(problem, 1.0, counters, points=four) == haar_newton_step(
+            problem, 1.0, expected, points=4)
+        assert counters == expected
 
 
 @given(
