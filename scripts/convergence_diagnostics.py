@@ -3,7 +3,7 @@
 
 import math
 
-from haarnewton.analysis import convergence_report
+from haarnewton.analysis import convergence_report, theoretical_error_constant
 from haarnewton.bench import builtin_suite
 from haarnewton.core import Problem, Status
 from haarnewton.methods import MethodId, iterate
@@ -24,9 +24,10 @@ def main() -> None:
     print("asymptotic error constant check on e^x - 1 (c2=1/2, c3=1/6):")
     problem = Problem("expm1", lambda x: math.exp(x) - 1.0, math.exp)
     outcome = iterate(method, problem, 0.05)
-    report = convergence_report(outcome.trace, outcome.root, c2=0.5, c3=1.0 / 6.0, n_points=2)
-    print(f"  empirical:   {report.error_constant_empirical:.6f}")
-    print(f"  theoretical: {report.error_constant_theoretical:.6f}  (23/96)")
+    empirical = convergence_report(outcome.trace, outcome.root).error_constant_empirical
+    theoretical = theoretical_error_constant(0.5, 1.0 / 6.0, method.haar_points)
+    print(f"  empirical:   {empirical:.6f}")
+    print(f"  theoretical: {theoretical:.6f}  (23/96)")
 
 
 if __name__ == "__main__":

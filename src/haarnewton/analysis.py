@@ -15,13 +15,10 @@ CONSTANT_NEXT_MIN = 1e-16
 
 
 class ConvergenceReport(FrozenRecord):
-    __slots__ = _fields = (
-        "coc", "error_constant_empirical", "error_constant_theoretical", "usable_triples"
-    )
+    __slots__ = _fields = ("coc", "error_constant_empirical", "usable_triples")
 
-    def __init__(self, coc: float, error_constant_empirical: float,
-                 error_constant_theoretical: float, usable_triples: int) -> None:
-        self._store(coc, error_constant_empirical, error_constant_theoretical, usable_triples)
+    def __init__(self, coc: float, error_constant_empirical: float, usable_triples: int) -> None:
+        self._store(coc, error_constant_empirical, usable_triples)
 
 
 _ReportBuilder = _builder(ConvergenceReport)
@@ -33,22 +30,11 @@ def theoretical_error_constant(c2: float, c3: float, n_points: int) -> float:
     return c2 * c2 - c3 / (4.0 * n_points * n_points)
 
 
-def convergence_report(
-    trace: Trace,
-    root: float,
-    c2: float | None = None,
-    c3: float | None = None,
-    n_points: int = 2,
-) -> ConvergenceReport:
-    """Bundle the diagnostics; the theoretical constant needs analytic c2, c3.
-
-    All three diagnostics come from one backward pass over the trace. A
-    trace too short for a diagnostic gives NaN there; a non-finite root puts
-    every error outside both windows: NaN, NaN and 0 usable triples.
-    """
-    theoretical = math.nan
-    if c2 is not None and c3 is not None:
-        theoretical = theoretical_error_constant(c2, c3, n_points)
+def convergence_report(trace: Trace, root: float, n_points: int = 2) -> ConvergenceReport:
+    """Order, empirical error constant and usable error triples of a run, from one
+    backward pass over the trace. A trace too short for a diagnostic gives NaN
+    there; a non-finite root gives NaN, NaN and 0. ``n_points`` is unused; it
+    goes once the benchmark harness no longer passes it."""
     rho = constant = e1 = e2 = math.nan  # e1, e2: |e| one and two iterates later
     triples = run = 0  # a run of L errors inside the COC window holds L - 2 triples
     for x in reversed(trace.iterates):
@@ -65,7 +51,6 @@ def convergence_report(
     report = _ReportBuilder()  # filled with plain slot stores, skipping __init__
     report.coc = rho if len(trace.iterates) >= 4 else math.nan
     report.error_constant_empirical = constant
-    report.error_constant_theoretical = theoretical
     report.usable_triples = triples
     report.__class__ = ConvergenceReport
     return report

@@ -46,7 +46,7 @@ def _tol(text: str) -> float:
 
 def _finite(text: str) -> float:
     """The type of --x0, --c2 and --c3: a finite number, as ``iterate`` takes for a
-    start and ``analysis.convergence_report`` for the constants."""
+    start and ``analysis.theoretical_error_constant`` for the constants."""
     try:
         value = float(text)
     except ValueError:
@@ -64,17 +64,17 @@ def _criteria(args: SimpleNamespace) -> StopCriteria:
     return StopCriteria(step_tol=args.tol, residual_tol=args.tol, max_iter=args.max_iter)
 
 
-def _run(args: SimpleNamespace):
+def _run(args: SimpleNamespace, method: MethodId):
     entry = bench.suite_entry(args.function)
     x0 = entry.x0 if args.x0 is None else args.x0
-    method = _method(args.method, args)
-    return entry, method, iterate(method, entry.problem, x0, _criteria(args))
+    return entry, iterate(method, entry.problem, x0, _criteria(args))
 
 
 # Each handler returns its exit code and the text that main writes to stdout
 # or to the --out file.
 def cmd_solve(args: SimpleNamespace) -> tuple[int, str]:
-    entry, method, outcome = _run(args)
+    method = _method(args.method, args)
+    entry, outcome = _run(args, method)
     lines = [
         f"function:   {entry.problem.name}",
         f"method:     {method.label}",
@@ -114,14 +114,15 @@ def cmd_coc(args: SimpleNamespace) -> tuple[int, str]:
         raise ValueError("--c2/--c3: the theoretical constant is defined for method 'new' only")
     if (args.c2 is None) != (args.c3 is None):
         raise ValueError("--c2/--c3: give both constants or neither")
-    entry, method, outcome = _run(args)
-    report = analysis.convergence_report(
-        outcome.trace,
-        outcome.root,
-        c2=args.c2,
-        c3=args.c3,
-        n_points=method.haar_points,
-    )
+    method = _method(args.method, args)
+    theoretical = []  # its output line; a constant that is not finite costs no run
+    if args.c2 is not None:
+        constant = analysis.theoretical_error_constant(args.c2, args.c3, method.haar_points)
+        if not math.isfinite(constant):
+            raise ValueError("--c2/--c3: the theoretical constant c2^2 - c3/(4P^2) is not finite")
+        theoretical.append(f"theoretical constant: {constant:.6g}")
+    entry, outcome = _run(args, method)
+    report = analysis.convergence_report(outcome.trace, outcome.root)
     lines = [
         f"function:             {entry.problem.name}",
         f"method:               {method.label}",
@@ -129,11 +130,8 @@ def cmd_coc(args: SimpleNamespace) -> tuple[int, str]:
         f"order (coc):          {report.coc:.6g}",
         f"usable triples:       {report.usable_triples}",
         f"empirical constant:   {report.error_constant_empirical:.6g}",
+        *theoretical,
     ]
-    if args.c2 is not None:
-        if not math.isfinite(report.error_constant_theoretical):
-            raise ValueError("--c2/--c3: the theoretical constant c2^2 - c3/(4P^2) is not finite")
-        lines.append(f"theoretical constant: {report.error_constant_theoretical:.6g}")
     converged = outcome.status is Status.CONVERGED
     code = EXIT_OK if converged and math.isfinite(report.coc) else EXIT_NOT_CONVERGED
     return code, "\n".join(lines) + "\n"

@@ -14,9 +14,8 @@ f'(x) + (0.0 + v) rounds exactly as f'(x) + v; Newton, with no nodes, rounds
 as x - f/f'(x). Oz and klw stay written out. Each step makes a fixed number
 of f/f' evaluations, and the driver reuses the residual evaluation as the
 next f(x), so NFE is step cost times iterations (0 iterations and NFE 1 when
-x0 is an exact root). Rounding (k - 0.5)/P for P not a power of two leaves
-new[P] an e_n^2 term of relative size ~1e-17, which outweighs its e_n^3 term
-for e_n below ~1e-17, as a run at 120 digits shows.
+x0 is an exact root). new[P]'s rounded fractions sum to exactly P/2 (see
+``midpoint_fractions``), so it keeps no e_n^2 term at any precision and any P.
 
 ``iterate`` runs every method in one loop with the step inlined by the
 family spec of ``MethodId.family``: averaging (node fractions and an

@@ -16,7 +16,8 @@ from .core import NAN_ERRORS, as_count
 
 
 def midpoint_fractions(points: int) -> tuple[float, ...]:
-    """Node positions (k - 0.5)/P, k = 1..P, as fractions of the interval.
+    """Node positions (k - 0.5)/P, k = 1..P, as fractions of the interval: each one
+    below 1/2 is 1.0 minus its rounded mirror, exactly, so they sum to exactly P/2.
 
     P is checked on every call: a non-integral P is a ``ValueError``, as is P < 1.
     The immutable table is memoised by the checked int, so equal counts share it.
@@ -26,7 +27,8 @@ def midpoint_fractions(points: int) -> tuple[float, ...]:
 
 @lru_cache(maxsize=128)
 def _fractions(points: int) -> tuple[float, ...]:
-    return tuple((k - 0.5) / points for k in range(1, points + 1))
+    upper = [(k - 0.5) / points for k in range(points // 2 + 1, points + 1)]
+    return (*(1.0 - c for c in reversed(upper[points % 2:])), *upper)  # odd P: 0.5 is its own mirror
 
 
 def node_sum(

@@ -103,11 +103,10 @@ def test_error_constant_empirical_of_diverged_trace_is_nan():
 )
 def test_convergence_report_of_degenerate_trace_is_nan(iterates, root):
     trace = Trace(iterates=iterates, residuals=[0.0] * len(iterates))
-    report = convergence_report(trace, root, c2=0.5, c3=0.1, n_points=2)
+    report = convergence_report(trace, root)
     assert math.isnan(report.coc)
     assert math.isnan(report.error_constant_empirical)
     assert report.usable_triples == 0
-    assert report.error_constant_theoretical == theoretical_error_constant(0.5, 0.1, 2)
 
 
 # Reference: the diagnostics as first written, in separate passes over the
@@ -142,16 +141,12 @@ def ref_constant_from(errors):
     return math.nan
 
 
-def ref_convergence_report(trace, root, c2=None, c3=None, n_points=2):
-    theoretical = math.nan
-    if c2 is not None and c3 is not None:
-        theoretical = theoretical_error_constant(c2, c3, n_points)
+def ref_convergence_report(trace, root):
     errors = [x - root for x in trace.iterates] if math.isfinite(root) else []
     triples = ref_usable_triples(errors)
     return ConvergenceReport(
         coc=ref_coc_from(triples) if len(errors) >= 4 else math.nan,
         error_constant_empirical=ref_constant_from(errors),
-        error_constant_theoretical=theoretical,
         usable_triples=len(triples),
     )
 
@@ -162,25 +157,23 @@ def _report_runs():
         starts = [entry.x0] + [entry.x0 + rng.uniform(-0.5, 0.5) for _ in range(3)]
         for points in (1, 2, 4, 8, 16, 32, 64, 128):
             for x0 in starts:
-                yield iterate(MethodId("new", points), entry.problem, x0), points
+                yield iterate(MethodId("new", points), entry.problem, x0)
     f1 = suite_entry("f1")
     capped = iterate(MethodId("new"), f1.problem, f1.x0, StopCriteria(max_iter=3))
     assert capped.status is Status.MAX_ITER
-    yield capped, 2
+    yield capped
     # near the critical point of f1, where f' = 0: the run oscillates to the cap
     oscillating = iterate(MethodId("new", 128), f1.problem, -0.67)
     assert oscillating.status is Status.MAX_ITER and len(oscillating.trace.iterates) == 101
-    yield oscillating, 128
+    yield oscillating
 
 
 def test_convergence_report_matches_windowed_reference_on_suite_runs():
     statuses = set()
-    for outcome, points in _report_runs():
-        # one constant without the other gives no theoretical constant
-        for constants in ({}, {"c2": 0.5}, {"c2": 0.5, "c3": 0.1, "n_points": points}):
-            got = convergence_report(outcome.trace, outcome.root, **constants)
-            want = ref_convergence_report(outcome.trace, outcome.root, **constants)
-            assert repr(got) == repr(want), (outcome, constants)
+    for outcome in _report_runs():
+        got = convergence_report(outcome.trace, outcome.root)
+        want = ref_convergence_report(outcome.trace, outcome.root)
+        assert repr(got) == repr(want), outcome
         statuses.add(outcome.status)
     assert {Status.CONVERGED, Status.MAX_ITER} <= statuses
 
@@ -190,9 +183,9 @@ def test_convergence_report_runs_no_record_constructor(monkeypatch):
     f4 = suite_entry("f4")
     forbid_result_constructors(monkeypatch)
     outcome = iterate(MethodId("new"), f4.problem, f4.x0)
-    got = convergence_report(outcome.trace, outcome.root, c2=0.5, c3=0.1)
+    got = convergence_report(outcome.trace, outcome.root)
     monkeypatch.undo()
-    want = ref_convergence_report(outcome.trace, outcome.root, c2=0.5, c3=0.1)
+    want = ref_convergence_report(outcome.trace, outcome.root)
     assert outcome.status is Status.CONVERGED and all(map(math.isfinite, got._values()))
     assert got == want and repr(got) == repr(want) and type(got) is ConvergenceReport
 

@@ -361,6 +361,19 @@ def test_coc_overflowing_theoretical_constant_is_a_usage_error(capsys, c2):
     assert "haarnewton coc: error: --c2/--c3: the theoretical constant c2^2 - c3/(4P^2) is not finite" in err
 
 
+@pytest.mark.parametrize("method, constants, message", [
+    ("new", ("--c2=1e200", "--c3", "1"), "the theoretical constant c2^2 - c3/(4P^2) is not finite"),
+    ("new", ("--c2", "0.5"), "give both constants or neither"),
+    ("wf", ("--c2", "0.5", "--c3", "0.1"), "the theoretical constant is defined for method 'new' only"),
+], ids=["overflow", "one-constant", "not-new"])
+def test_coc_refuses_its_constants_before_it_runs(monkeypatch, capsys, method, constants, message):
+    reached = set()
+    monkeypatch.setattr(cli, "iterate", _recording("cli.iterate", cli.iterate, reached))
+    err = usage_error(capsys, "coc", "--function", "f6", "--method", method, *constants)
+    assert err.endswith(f"haarnewton coc: error: --c2/--c3: {message}\n")
+    assert reached == set()  # a refused constant costs no run
+
+
 # Run in a fresh interpreter started with -S: the modules only count when the
 # import of haarnewton.cli, or a README command run through main, is what
 # loads them, not the interpreter's own start-up or a site hook, which may

@@ -193,14 +193,10 @@ RECORDS = {
         "MethodId(tag='new', haar_points=4, fs_variant=<FsVariant.AS_PRINTED: 'as-printed'>)",
     ),
     "ConvergenceReport": (
-        lambda: ConvergenceReport(3.0, 0.5, 0.25, 2),
-        lambda: ConvergenceReport(
-            coc=3.0, error_constant_empirical=0.5, error_constant_theoretical=0.25,
-            usable_triples=2,
-        ),
-        lambda: ConvergenceReport(3.0, 0.5, 0.25, 1),
-        "ConvergenceReport(coc=3.0, error_constant_empirical=0.5, "
-        "error_constant_theoretical=0.25, usable_triples=2)",
+        lambda: ConvergenceReport(3.0, 0.5, 2),
+        lambda: ConvergenceReport(coc=3.0, error_constant_empirical=0.5, usable_triples=2),
+        lambda: ConvergenceReport(3.0, 0.5, 1),
+        "ConvergenceReport(coc=3.0, error_constant_empirical=0.5, usable_triples=2)",
     ),
     "SuiteEntry": (
         lambda: SuiteEntry(SIN, 1.0),

@@ -147,7 +147,7 @@ def _built_results(path):
     if path == "convergence-report":
         f4 = suite_entry("f4")
         outcome = iterate(MethodId("new"), f4.problem, f4.x0)
-        return convergence_report(outcome.trace, outcome.root, c2=0.5, c3=0.1), ConvergenceReport
+        return convergence_report(outcome.trace, outcome.root), ConvergenceReport
     problem, x0, criteria, _ = EXIT_PATHS[path]
     return iterate(MethodId("newton"), problem, x0, criteria), Outcome
 
@@ -405,7 +405,8 @@ def ref_haar(problem, x, counters, points=2):
     d = fx / dfx
     total = 0.0
     for k in range(1, points + 1):
-        total += evaluate_df(problem, x - d * ((k - 0.5) / points), counters)
+        c = (k - 0.5) / points if 2 * k > points else 1.0 - (points - k + 0.5) / points
+        total += evaluate_df(problem, x - d * c, counters)
     _ref_require(total)
     return x - (points * fx) / total
 

@@ -4,10 +4,10 @@ Each step is expanded symbolically in the error e = x - alpha of its input,
 with f = e + c2 e^2 + c3 e^3 + c4 e^4 (alpha = 0, f'(alpha) = 1). An averaging
 step (newton, wf, fs and new) is expanded on its nominal node fractions,
 written here as rationals, and ``MethodId.family`` must hold their float
-roundings; every averaging step follows one law in the moments of those
-fractions. oz and klw are checked on their own. Each method's order and
-constant are then read off a 120-digit run of ``iterate`` on f6, where the
-rounding of new[P]'s float fractions shows for P that is not a power of two.
+roundings, mirrored about 1/2; every averaging step follows one law in the
+moments of those fractions. oz and klw are checked on their own. Each
+method's order and constant are then read off a 120-digit run of ``iterate``
+on f6, where new[P]'s float fractions leave no e^2 term for any P.
 """
 
 from fractions import Fraction
@@ -119,7 +119,9 @@ def test_step_error_expansion(method, e2, e3):
     if method.tag not in ("oz", "klw"):  # the library runs the float roundings of the nodes
         fractions, endpoint = nominal_nodes(method)
         family, floats, flag, _, weight, _ = method.family
-        assert (family, floats, flag) == ("averaging", tuple(map(float, fractions)), endpoint)
+        # a fraction below 1/2 is 1.0 minus its mirror's rounding, so the two sum to exactly 1
+        rounded = tuple(float(c) if c >= Fraction(1, 2) else 1.0 - float(1 - c) for c in fractions)
+        assert (family, floats, flag) == ("averaging", rounded, endpoint)
         assert weight == len(fractions) + endpoint
     e0, e1, got_e2, got_e3 = step_series(method)
     assert (e0, e1) == (0, 0)
@@ -141,14 +143,12 @@ def float_fraction_residue(points):
     return sympy.cancel(step_series(MethodId("new", points), float_nodes)[2] / C2)
 
 
-def test_float_fractions_leave_an_e2_term_for_non_dyadic_node_counts():
-    assert [float_fraction_residue(p) for p in (1, 2, 4, 8)] == [0, 0, 0, 0]
-    residue = float_fraction_residue(3)
-    assert residue.is_Rational and 0 < abs(residue) < 1e-16
+def test_float_fractions_leave_no_e2_term_for_any_node_count():
+    assert [float_fraction_residue(p) for p in range(1, 17)] == [0] * 16
 
 
 # f6 = x^3 - e^-x from 0.9, at 120 digits, run until the step is below 1e-100
-PRECISION_POINTS = (2, 3, 8)
+PRECISION_POINTS = (2, 3, 5, 6, 7, 8, 12)
 
 
 def _f6_pairs(method):
@@ -181,11 +181,6 @@ def test_wavelet_constant_at_120_digits(method, e2, e3):
         assert len(window) == 1 and abs(window[0] / constant - 1) < 1e-6
         if method.tag != "new" or method.haar_points not in PRECISION_POINTS:
             return
-        # the pair after it, with e_n ~ 1e-26, where the rounded fractions' e^2 term shows
+        # the pair after it, with e_n ~ 1e-26, where an e^2 term of the rounded fractions would show
         ((a, b),) = [(a, b) for a, b in pairs if 1e-30 < abs(a) < 1e-20]
-        if method.haar_points == 3:
-            residue = float_fraction_residue(3)
-            assert abs(b / a**3) > 1e8
-            assert abs(b / a**2 / (c2 * residue.p / residue.q) - 1) < 1e-6
-        else:
-            assert abs(b / a**3 / constant - 1) < 1e-8
+        assert abs(b / a**3 / constant - 1) < 1e-8

@@ -53,6 +53,15 @@ def test_midpoint_fractions_are_memoised_and_still_validate_every_call():
             midpoint_fractions(0)
 
 
+def test_node_fractions_sum_to_exactly_half_the_node_count():
+    # so the wavelet step keeps no e^2 term for any P (tests/test_orders.py);
+    # for a power of two every (k - 0.5)/P is exact and the table is unchanged
+    for points in range(1, 257):
+        assert sum(map(Fraction, midpoint_fractions(points))) == Fraction(points, 2), points
+    for points in (2**j for j in range(8)):
+        assert midpoint_fractions(points) == tuple((k - 0.5) / points for k in range(1, points + 1))
+
+
 @pytest.mark.parametrize("points", [2.5, 2.0, math.nan, "3", 0, [4]])
 def test_non_integral_node_count_is_a_value_error(points):
     message = "must be >= 1" if points == 0 else "must be an integer"
