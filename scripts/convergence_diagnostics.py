@@ -3,7 +3,7 @@
 
 import math
 
-from haarnewton.analysis import convergence_report, theoretical_error_constant
+from haarnewton.analysis import convergence_report
 from haarnewton.bench import builtin_suite
 from haarnewton.core import Problem, Status
 from haarnewton.methods import MethodId, iterate
@@ -25,7 +25,7 @@ def main() -> None:
     problem = Problem("expm1", lambda x: math.exp(x) - 1.0, math.exp)
     outcome = iterate(method, problem, 0.05)
     empirical = convergence_report(outcome.trace, outcome.root).error_constant_empirical
-    theoretical = theoretical_error_constant(0.5, 1.0 / 6.0, method.haar_points)
+    _, theoretical = method.error_law(0.5, 1.0 / 6.0)
     print(f"  empirical:   {empirical:.6f}")
     print(f"  theoretical: {theoretical:.6f}  (23/96)")
 

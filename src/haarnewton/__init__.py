@@ -7,7 +7,6 @@ from .analysis import (
     classify,
     convergence_report,
     format_significant,
-    theoretical_error_constant,
 )
 from .bench import (
     ComparisonTable,

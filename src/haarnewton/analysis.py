@@ -2,7 +2,7 @@
 
 import math
 
-from .core import _BREAKDOWN, _CONVERGED, FrozenRecord, Outcome, Trace, _builder, as_count
+from .core import _BREAKDOWN, _CONVERGED, FrozenRecord, Outcome, Trace, _builder
 
 # Windows keeping the diagnostics in the asymptotic regime: third-order
 # methods hit roundoff within a handful of steps, so pre-asymptotic and
@@ -22,12 +22,6 @@ class ConvergenceReport(FrozenRecord):
 
 
 _ReportBuilder = _builder(ConvergenceReport)
-
-
-def theoretical_error_constant(c2: float, c3: float, n_points: int) -> float:
-    """Leading cubic error coefficient c2^2 - c3/(4 N^2) for an N-node run."""
-    n_points = as_count(n_points, "n_points")
-    return c2 * c2 - c3 / (4.0 * n_points * n_points)
 
 
 def convergence_report(trace: Trace, root: float, n_points: int = 2) -> ConvergenceReport:

@@ -45,8 +45,7 @@ def _tol(text: str) -> float:
 
 
 def _finite(text: str) -> float:
-    """The type of --x0, --c2 and --c3: a finite number, as ``iterate`` takes for a
-    start and ``analysis.theoretical_error_constant`` for the constants."""
+    """The type of --x0, --c2 and --c3: a finite number, a start or a ``MethodId.error_law`` input."""
     try:
         value = float(text)
     except ValueError:
@@ -110,17 +109,15 @@ def cmd_compare(args: SimpleNamespace) -> tuple[int, str]:
 
 
 def cmd_coc(args: SimpleNamespace) -> tuple[int, str]:
-    if (args.c2 is not None or args.c3 is not None) and args.method != "new":
-        raise ValueError("--c2/--c3: the theoretical constant is defined for method 'new' only")
     if (args.c2 is None) != (args.c3 is None):
         raise ValueError("--c2/--c3: give both constants or neither")
     method = _method(args.method, args)
-    theoretical = []  # its output line; a constant that is not finite costs no run
+    theoretical = []  # its output lines; a constant that is not finite costs no run
     if args.c2 is not None:
-        constant = analysis.theoretical_error_constant(args.c2, args.c3, method.haar_points)
+        order, constant = method.error_law(args.c2, args.c3)
         if not math.isfinite(constant):
-            raise ValueError("--c2/--c3: the theoretical constant c2^2 - c3/(4P^2) is not finite")
-        theoretical.append(f"theoretical constant: {constant:.6g}")
+            raise ValueError("--c2/--c3: the theoretical constant is not finite")
+        theoretical = [f"theoretical order:    {order}", f"theoretical constant: {constant:.6g}"]
     entry, outcome = _run(args, method)
     report = analysis.convergence_report(outcome.trace, outcome.root)
     lines = [
@@ -173,8 +170,8 @@ COMMANDS = {
     }),
     "coc": (cmd_coc, "convergence-order diagnostics for one run", {
         **_ONE_RUN,
-        "--c2": dict(type=_finite, default=None, help="analytic f''(root)/(2 f'(root)); new only"),
-        "--c3": dict(type=_finite, default=None, help="analytic f'''(root)/(6 f'(root)); new only"),
+        "--c2": dict(type=_finite, default=None, help="analytic f''(root)/(2 f'(root))"),
+        "--c3": dict(type=_finite, default=None, help="analytic f'''(root)/(6 f'(root))"),
         **_NODES, "--x0": _X0, **_COMMON,
     }),
 }

@@ -14,8 +14,8 @@ f'(x) + (0.0 + v) rounds exactly as f'(x) + v; Newton, with no nodes, rounds
 as x - f/f'(x). Oz and klw stay written out. Each step makes a fixed number
 of f/f' evaluations, and the driver reuses the residual evaluation as the
 next f(x), so NFE is step cost times iterations (0 iterations and NFE 1 when
-x0 is an exact root). new[P]'s rounded fractions sum to exactly P/2 (see
-``midpoint_fractions``), so it keeps no e_n^2 term at any precision and any P.
+x0 is an exact root). ``MethodId.error_law`` gives each step's order and constant;
+new[P]'s fractions sum to exactly P/2 (see ``midpoint_fractions``), so it is third order at any P.
 
 ``iterate`` runs every method in one loop with the step inlined by the
 family spec of ``MethodId.family``: averaging (node fractions and an
@@ -133,6 +133,19 @@ class MethodId(FrozenRecord):
         # f(x) and f'(x), then f' at each node, or oz's one f' or klw's one f
         step_cost = 2 + family[3] if family[0] is _AVERAGING else 3
         self._store(tag, points, variant, family, step_cost, label)
+
+    def error_law(self, c2, c3) -> tuple:
+        """(order, constant) of the step's error e_{n+1} = constant * e_n^order + ... for
+        c2 = f''/(2f'), c3 = f'''/(6f') at the root; averaging fractions of mean m1, mean square
+        m2 (exact, the endpoint as 0) give (1 - 2 m1) c2 e_n^2 + [c2^2 + (3 m2 - 1) c3] e_n^3."""
+        from fractions import Fraction  # it imports re, so only this call loads it
+
+        family, fractions, endpoint, *_ = self.family
+        if family is not _AVERAGING:
+            return 3, (c3 / 2 if family is _OZ else 2 * (c2 * c2 - c3))
+        nodes = [Fraction(c) for c in (0.0,) * endpoint + fractions]
+        m1, m2 = (sum(c**k for c in nodes) / len(nodes) for k in (1, 2))
+        return (2, (1 - 2 * m1) * c2) if 2 * m1 != 1 else (3, c2 * c2 + (3 * m2 - 1) * c3)
 
 
 # every way a step can fail; caught only by ``iterate``

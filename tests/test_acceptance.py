@@ -11,12 +11,7 @@ import random
 
 import pytest
 
-from haarnewton.analysis import (
-    COC_ERROR_MAX,
-    COC_ERROR_MIN,
-    convergence_report,
-    theoretical_error_constant,
-)
+from haarnewton.analysis import COC_ERROR_MAX, COC_ERROR_MIN, convergence_report
 from haarnewton.bench import builtin_suite, suite_entry
 from haarnewton.core import DerivativeBreakdownError, EvalCounters, Problem, Status
 from haarnewton.methods import (
@@ -158,7 +153,7 @@ def test_criterion_5_error_constant():
     problem = Problem("expm1", lambda x: math.exp(x) - 1.0, math.exp)
     outcome = iterate(NEW, problem, 0.05)
     observed = convergence_report(outcome.trace, outcome.root).error_constant_empirical
-    expected = theoretical_error_constant(0.5, 1.0 / 6.0, 2)
+    _, expected = NEW.error_law(0.5, 1.0 / 6.0)
     rel = abs(observed - expected) / expected
     ok = rel < 0.15
     report(5, ok, f"observed={observed:.6g} expected={expected:.6g} rel={rel:.3g}")

@@ -15,7 +15,6 @@ from haarnewton.analysis import (
     classify,
     convergence_report,
     format_significant,
-    theoretical_error_constant,
 )
 from haarnewton.core import Outcome, Status, StopCriteria, Trace
 from haarnewton.bench import builtin_suite, suite_entry
@@ -59,25 +58,6 @@ def test_coc_recovers_geometric_order(p, e0):
         return
     trace = trace_from_errors(errors)
     assert convergence_report(trace, 0.0).coc == pytest.approx(p, abs=1e-9)
-
-
-@pytest.mark.parametrize(
-    "c2, c3, n, expected",
-    [
-        (0.0, 0.0, 7, 0.0),
-        (0.5, 1.0 / 6.0, 2, 23.0 / 96.0),
-        (1.0, 2.0, 1, 0.5),
-    ],
-)
-def test_theoretical_error_constant(c2, c3, n, expected):
-    assert theoretical_error_constant(c2, c3, n) == pytest.approx(expected, rel=1e-15)
-
-
-@pytest.mark.parametrize("n", [2.5, 2.0, math.nan, "3", 0])
-def test_theoretical_constant_rejects_non_integral_node_count(n):
-    message = "must be >= 1" if n == 0 else "must be an integer"
-    with pytest.raises(ValueError, match=f"n_points {message}"):
-        theoretical_error_constant(0.5, 0.5, n)
 
 
 def test_error_constant_empirical_direct_quotient():

@@ -311,32 +311,27 @@ def test_coc_without_usable_errors_prints_nan_and_exits_2(capsys, function, meth
 
 
 @pytest.mark.parametrize(
-    "count, constant",
-    [((), "0.24375"), (("--m", "2"), "0.248438"), (("--points", "4"), "0.248438")],
-    ids=["P=2", "m=2", "points=4"],
+    "method, order, constant",
+    [(("new",), "3", "0.24375"), (("new", "--m", "2"), "3", "0.248438"), (("new", "--points", "4"), "3", "0.248438"),
+     (("newton",), "2", "0.5"), (("wf",), "3", "0.3"), (("fs",), "2", "-1.5"),
+     (("fs", "--fs-variant", "standard-midpoint"), "3", "0.225"), (("oz",), "3", "0.05"), (("klw",), "3", "0.3")],
+    ids=["P=2", "m=2", "points=4", "newton", "wf", "fs", "fs(std)", "oz", "klw"],
 )
-def test_coc_reports_theoretical_constant_when_given(capsys, count, constant):
-    # c2^2 - c3/(4P^2) with the P of the method that ran
-    code, out = run_cli(
-        capsys, "coc", "--function", "f6", "--method", "new",
-        "--c2", "0.5", "--c3", "0.1", *count,
-    )
-    assert code == 0
-    assert f"theoretical constant: {constant}\n" in out
+def test_coc_reports_theoretical_constant_when_given(capsys, method, order, constant):
+    # MethodId.error_law of the method that ran: new[P]'s c2^2 - c3/(4P^2), and an
+    # order-2 method's constant is its e^2 coefficient; fs as printed stalls on f6
+    code, out = run_cli(capsys, "coc", "--function", "f6", "--method", *method, "--c2", "0.5", "--c3", "0.1")
+    assert code == (2 if method == ("fs",) else 0)
+    assert f"theoretical order:    {order}\ntheoretical constant: {constant}\n" in out
 
 
-@pytest.mark.parametrize("method", ["newton", "wf", "fs", "oz", "klw"])
-@pytest.mark.parametrize(
-    "constants", [("--c2", "0.5", "--c3", "0.1"), ("--c2", "0.5"), ("--c3", "0.1")]
-)
-def test_coc_constants_for_a_method_other_than_new_are_a_usage_error(capsys, method, constants):
-    err = usage_error(capsys, "coc", "--function", "f6", "--method", method, *constants)
-    assert "defined for method 'new' only" in err
+ONE_CONSTANT = [("--c2", "0.5"), ("--c3", "0.1")]
 
 
-@pytest.mark.parametrize("constant", [("--c2", "0.5"), ("--c3", "0.1")], ids=lambda c: c[0])
-def test_coc_one_constant_without_the_other_is_a_usage_error(capsys, constant):
-    err = usage_error(capsys, "coc", "--function", "f6", "--method", "new", *constant)
+@pytest.mark.parametrize("method, constant", [(m, c) for m in METHOD_TAGS for c in ONE_CONSTANT],
+                         ids=[c[0] if m == "new" else f"{c[0]}-{m}" for m in METHOD_TAGS for c in ONE_CONSTANT])
+def test_coc_one_constant_without_the_other_is_a_usage_error(capsys, method, constant):
+    err = usage_error(capsys, "coc", "--function", "f6", "--method", method, *constant)
     assert "haarnewton coc: error: --c2/--c3: give both constants or neither" in err
 
 
@@ -353,19 +348,20 @@ def test_coc_non_finite_constant_is_a_usage_error(capsys, constants, option, tex
     assert err.endswith(f"haarnewton coc: error: argument {option}: must be a finite number, not {text!r}\n")
 
 
-@pytest.mark.parametrize("c2", ["--c2=1e200", "--c2=-1e200"])
-def test_coc_overflowing_theoretical_constant_is_a_usage_error(capsys, c2):
-    # finite constants, but c2^2 overflows, so c2^2 - c3/(4P^2) is inf
-    err = usage_error(capsys, "coc", "--function", "f6", "--method", "new", c2, "--c3", "1")
+@pytest.mark.parametrize("method, c2", [("new", "--c2=1e200"), ("new", "--c2=-1e200"), ("klw", "--c2=1e200")],
+                         ids=["--c2=1e200", "--c2=-1e200", "klw"])
+def test_coc_overflowing_theoretical_constant_is_a_usage_error(capsys, method, c2):
+    # finite constants, but c2^2 overflows, so the constant is inf
+    err = usage_error(capsys, "coc", "--function", "f6", "--method", method, c2, "--c3", "1")
     assert err.startswith("usage: haarnewton coc ")
-    assert "haarnewton coc: error: --c2/--c3: the theoretical constant c2^2 - c3/(4P^2) is not finite" in err
+    assert "haarnewton coc: error: --c2/--c3: the theoretical constant is not finite" in err
 
 
 @pytest.mark.parametrize("method, constants, message", [
-    ("new", ("--c2=1e200", "--c3", "1"), "the theoretical constant c2^2 - c3/(4P^2) is not finite"),
+    ("new", ("--c2=1e200", "--c3", "1"), "the theoretical constant is not finite"),
     ("new", ("--c2", "0.5"), "give both constants or neither"),
-    ("wf", ("--c2", "0.5", "--c3", "0.1"), "the theoretical constant is defined for method 'new' only"),
-], ids=["overflow", "one-constant", "not-new"])
+    ("klw", ("--c2=1e200", "--c3", "1"), "the theoretical constant is not finite"),
+], ids=["overflow", "one-constant", "klw-overflow"])
 def test_coc_refuses_its_constants_before_it_runs(monkeypatch, capsys, method, constants, message):
     reached = set()
     monkeypatch.setattr(cli, "iterate", _recording("cli.iterate", cli.iterate, reached))

@@ -19,7 +19,8 @@ from haarnewton.core import (
     evaluate_df,
     evaluate_f,
 )
-from haarnewton.methods import FsVariant, MethodId
+from haarnewton.methods import FsVariant, MethodId, haar_newton_step
+from haarnewton.quadrature import haar_indefinite_integral, midpoint_fractions
 
 
 def test_problem_requires_name():
@@ -100,11 +101,28 @@ def test_stop_criteria_takes_an_infinite_escape_radius_as_none():
     assert StopCriteria(escape_radius=math.inf).escape_radius == math.inf
 
 
-@pytest.mark.parametrize("value", [2.5, 2.0, math.nan, math.inf, "3", 0])
-def test_stop_criteria_rejects_non_integral_max_iter(value):
-    message = "must be >= 1$" if value == 0 else "must be an integer"
-    with pytest.raises(ValueError, match=f"^max_iter {message}"):
-        StopCriteria(max_iter=value)
+LINE = Problem("line", lambda x: x, lambda x: 1.0)
+# every caller of ``core.as_count`` but the CLI's, with the name its message gives the
+# count; each takes the count and an ``EvalCounters`` that a run or an integrand counts into
+COUNT_CALLERS = [
+    ("StopCriteria", "max_iter", lambda v, counters: StopCriteria(max_iter=v)),
+    ("MethodId-new", "haar_points", lambda v, counters: MethodId("new", haar_points=v)),
+    ("MethodId-wf", "haar_points", lambda v, counters: MethodId("wf", haar_points=v)),
+    ("haar_newton_step", "node count", lambda v, counters: haar_newton_step(LINE, 3.0, counters, points=v)),
+    ("midpoint_fractions", "node count", lambda v, counters: midpoint_fractions(v)),
+    ("haar_indefinite_integral", "node count", lambda v, counters: haar_indefinite_integral(
+        lambda t: evaluate_f(LINE, t, counters), 0.0, 1.0, v)),
+]
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, math.nan, math.inf, "3", [4], 0], ids=str)
+@pytest.mark.parametrize("name, caller", [row[1:] for row in COUNT_CALLERS], ids=[row[0] for row in COUNT_CALLERS])
+def test_a_count_that_is_not_an_integer_from_1_is_refused_by_name(name, caller, value):
+    counters = EvalCounters()
+    with pytest.raises(ValueError) as info:
+        caller(value, counters)
+    assert str(info.value) == (f"{name} must be >= 1" if value == 0 else f"{name} must be an integer, not {value!r}")
+    assert (counters.n_f, counters.n_df) == (0, 0)  # refused before any evaluation
 
 
 class Four:

@@ -45,15 +45,6 @@ LINE = Problem("line", lambda x: x, lambda x: 1.0)
 FLAT = Problem("flat", lambda x: 1.0, lambda x: 0.0)
 
 
-@pytest.mark.parametrize("points", [2.5, 2.0, math.nan, "3", 0, [4]])
-def test_haar_step_rejects_non_integral_points(points):
-    counters = EvalCounters()
-    message = "must be >= 1" if points == 0 else "must be an integer"
-    with pytest.raises(ValueError, match=f"node count {message}"):
-        haar_newton_step(QUADRATIC, 3.0, counters, points=points)
-    assert (counters.n_f, counters.n_df) == (0, 0)
-
-
 @settings(deadline=None)
 @given(
     j=st.integers(min_value=-20, max_value=20),
@@ -312,15 +303,6 @@ def test_nfe_is_step_cost_times_iterations(method, expected_cost):
 def test_method_id_validation():
     with pytest.raises(ValueError):
         MethodId("brent")
-    with pytest.raises(ValueError, match="^haar_points must be >= 1$"):
-        MethodId("new", haar_points=0)
-
-
-@pytest.mark.parametrize("value", [2.5, 2.0, math.nan, "3"])
-@pytest.mark.parametrize("tag", ["new", "wf"])
-def test_method_id_rejects_non_integral_points(tag, value):
-    with pytest.raises(ValueError, match="haar_points must be an integer"):
-        MethodId(tag, haar_points=value)
 
 
 def test_fs_variant_is_the_member_or_its_value():

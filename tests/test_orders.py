@@ -1,17 +1,16 @@
 """The order and error constant of every method.
 
 Each step is expanded symbolically in the error e = x - alpha of its input,
-with f = e + c2 e^2 + c3 e^3 + c4 e^4 (alpha = 0, f'(alpha) = 1). An averaging
-step (newton, wf, fs and new) is expanded on its nominal node fractions,
-written here as rationals, and ``MethodId.family`` must hold their float
-roundings, mirrored about 1/2; every averaging step follows one law in the
-moments of those fractions. oz and klw are checked on their own. Each
-method's order and constant are then read off a 120-digit run of ``iterate``
-on f6, where new[P]'s float fractions leave no e^2 term for any P.
+with f = e + c2 e^2 + c3 e^3 + c4 e^4 (alpha = 0, f'(alpha) = 1), on the node
+fractions that ``MethodId.family`` holds, read exactly; those must be the float
+roundings of the nominal fractions, mirrored about 1/2. The expansion must
+match the law that ``MethodId.error_law`` states for every method, and so must
+a 120-digit run of ``iterate`` on f6, where new[P]'s float fractions leave no
+e^2 term for any P.
 """
 
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import mpmath
 import pytest
@@ -70,15 +69,11 @@ def nominal_nodes(method):
             "fs(std)": ((Fraction(1, 2),), False)}[method.label]
 
 
-def float_nodes(method):
-    """The node fractions and endpoint flag that ``MethodId.family`` holds, exactly."""
-    _, fractions, endpoint, *_ = method.family
-    return tuple(map(Fraction, fractions)), endpoint
-
-
-def step_series(method, nodes=nominal_nodes):
+@lru_cache(maxsize=None)
+def step_series(method):
     """e_{n+1} as a series in e_n, the step written per family as ``iterate`` runs it;
-    an averaging step on ``nodes(method)``, with the weight n + endpoint."""
+    an averaging step on the node fractions that ``MethodId.family`` holds, read
+    exactly, with the weight n + endpoint."""
     fx, dfx = compose(F, E), compose(DF, E)
     d = mul(fx, inv(dfx))
     if method.tag == "oz":
@@ -87,35 +82,21 @@ def step_series(method, nodes=nominal_nodes):
     if method.tag == "klw":
         shifted = compose(F, add(E, d))
         return add(E, mul(add(shifted, fx, -1), inv(dfx)), -1)
-    fractions, endpoint = nodes(method)
+    _, fractions, endpoint, *_ = method.family
     total = dfx if endpoint else [0] * TERMS
-    for c in fractions:
+    for c in map(Fraction, fractions):
         total = add(total, compose(DF, add(E, scale(d, rational(c)), -1)))
     return add(E, scale(mul(fx, inv(total)), len(fractions) + endpoint), -1)
 
 
-def moment_law(method):
-    """(e^2, e^3) coefficients of an averaging step, x - W f / (sum over its nodes
-    c of f'(x - c f/f')), from the mean m1 and mean square m2 of its nominal fractions c,
-    the endpoint counted as c = 0:
-        e_{n+1} = (1 - 2 m1) c2 e^2 + [c2^2 + 3 c3 (m2 - 1/3)] e^3.
-    The e^3 bracket is given where m1 = 1/2, the third-order case, else None."""
-    fractions, endpoint = nominal_nodes(method)
-    nodes = [rational(c) for c in (Fraction(0),) * endpoint + fractions]
-    m1, m2 = (sum(c**k for c in nodes) / len(nodes) for k in (1, 2))
-    e3 = C2**2 + 3 * C3 * (m2 - sympy.Rational(1, 3)) if m1 == sympy.Rational(1, 2) else None
-    return (1 - 2 * m1) * C2, e3
+METHODS = [MethodId("newton"), MethodId("wf"), MethodId("fs"), MethodId("fs", fs_variant="standard-midpoint"),
+           MethodId("oz"), MethodId("klw"), *[MethodId("new", p) for p in range(1, 17)]]
+# method, order, constant: e_{n+1} = constant * e_n^order + ..., as the library states it
+CERTIFICATE = [(method, *method.error_law(C2, C3)) for method in METHODS]
 
 
-AVERAGING = [MethodId("newton"), MethodId("wf"), MethodId("fs"), MethodId("fs", fs_variant="standard-midpoint"),
-             *[MethodId("new", p) for p in range(1, 17)]]
-# method, e^2 coefficient, e^3 coefficient (None: a second-order method's is not pinned)
-CERTIFICATE = [*[(method, *moment_law(method)) for method in AVERAGING],
-               (MethodId("oz"), 0, C3 / 2), (MethodId("klw"), 0, 2 * (C2**2 - C3))]
-
-
-@pytest.mark.parametrize("method, e2, e3", CERTIFICATE, ids=[m.label for m, _, _ in CERTIFICATE])
-def test_step_error_expansion(method, e2, e3):
+@pytest.mark.parametrize("method, order, law", CERTIFICATE, ids=[m.label for m, _, _ in CERTIFICATE])
+def test_step_error_expansion(method, order, law):
     if method.tag not in ("oz", "klw"):  # the library runs the float roundings of the nodes
         fractions, endpoint = nominal_nodes(method)
         family, floats, flag, _, weight, _ = method.family
@@ -123,24 +104,31 @@ def test_step_error_expansion(method, e2, e3):
         rounded = tuple(float(c) if c >= Fraction(1, 2) else 1.0 - float(1 - c) for c in fractions)
         assert (family, floats, flag) == ("averaging", rounded, endpoint)
         assert weight == len(fractions) + endpoint
-    e0, e1, got_e2, got_e3 = step_series(method)
-    assert (e0, e1) == (0, 0)
-    assert sympy.expand(got_e2 - e2) == 0
-    if e3 is not None:
-        assert sympy.expand(got_e3 - e3) == 0
+    series = step_series(method)
+    assert [sympy.expand(c) for c in series[:order]] == [0] * order
+    assert sympy.expand(series[order] - law) == 0
 
 
 def test_the_law_gives_third_order_and_the_wavelet_constant():
-    # e^2 vanishes for every method but newton and fs as printed, and new[P]'s e^3 is c2^2 - c3/(4P^2)
-    assert [method.label for method, e2, _ in CERTIFICATE if e2 != 0] == ["newton", "fs"]
-    for method, _, e3 in CERTIFICATE:
-        if method.tag == "new":
-            assert sympy.expand(e3 - (C2**2 - C3 / (4 * method.haar_points**2))) == 0, method.label
+    # every method is third order but newton and fs as printed, and new[P]'s constant is
+    # c2^2 - c3/(4P^2): exactly for a power of two, where every fraction is exact, else
+    # within the rounding of the fractions
+    assert [method.label for method, order, _ in CERTIFICATE if order != 3] == ["newton", "fs"]
+    for method, _, law in CERTIFICATE:
+        if method.tag != "new":
+            continue
+        points = method.haar_points
+        wavelet = C2**2 - C3 / (4 * points**2)
+        if points & (points - 1) == 0:
+            assert sympy.expand(law - wavelet) == 0, method.label
+        else:
+            assert sympy.expand(law - C3 * law.coeff(C3)) == C2**2, method.label
+            assert abs(law.coeff(C3) * 4 * points**2 + 1) < 1e-13, method.label
 
 
 def float_fraction_residue(points):
     """The e^2 coefficient of new[P] on its float fractions, over c2: a rational."""
-    return sympy.cancel(step_series(MethodId("new", points), float_nodes)[2] / C2)
+    return sympy.cancel(step_series(MethodId("new", points))[2] / C2)
 
 
 def test_float_fractions_leave_no_e2_term_for_any_node_count():
@@ -168,14 +156,12 @@ def _f6_pairs(method):
     return c2, c3, list(zip(errors, errors[1:]))
 
 
-@pytest.mark.parametrize("method, e2, e3", CERTIFICATE,
+@pytest.mark.parametrize("method, order, law", CERTIFICATE,
                          ids=[str(m.haar_points) if m.tag == "new" else m.label for m, _, _ in CERTIFICATE])
-def test_wavelet_constant_at_120_digits(method, e2, e3):
-    # e_{n+1} / e_n^k against the row's law at f6's c2 and c3, with k = 2 for
-    # the two second-order rows (newton and fs as printed) and 3 for the rest
+def test_wavelet_constant_at_120_digits(method, order, law):
+    # e_{n+1} / e_n^order against the row's constant at f6's c2 and c3
     with mpmath.workdps(120):
         c2, c3, pairs = _f6_pairs(method)
-        order, law = (2, e2) if e2 != 0 else (3, e3)
         constant = sympy.lambdify([C2, C3], law, "mpmath")(c2, c3)
         window = [b / a**order for a, b in pairs if 1e-12 < abs(a) < 1e-6]
         assert len(window) == 1 and abs(window[0] / constant - 1) < 1e-6

@@ -62,15 +62,6 @@ def test_node_fractions_sum_to_exactly_half_the_node_count():
         assert midpoint_fractions(points) == tuple((k - 0.5) / points for k in range(1, points + 1))
 
 
-@pytest.mark.parametrize("points", [2.5, 2.0, math.nan, "3", 0, [4]])
-def test_non_integral_node_count_is_a_value_error(points):
-    message = "must be >= 1" if points == 0 else "must be an integer"
-    with pytest.raises(ValueError, match=f"node count {message}"):
-        midpoint_fractions(points)
-    with pytest.raises(ValueError, match=f"node count {message}"):
-        haar_indefinite_integral(lambda t: 1.0, 0.0, 1.0, points)
-
-
 def test_node_count_may_be_any_object_that_indexes_to_an_int():
     class Four:
         def __index__(self):
