@@ -20,7 +20,6 @@ from haarnewton.core import (
     evaluate_f,
 )
 from haarnewton.methods import FsVariant, MethodId, haar_newton_step
-from haarnewton.quadrature import haar_indefinite_integral, midpoint_fractions
 
 
 def test_problem_requires_name():
@@ -102,16 +101,14 @@ def test_stop_criteria_takes_an_infinite_escape_radius_as_none():
 
 
 LINE = Problem("line", lambda x: x, lambda x: 1.0)
-# every caller of ``core.as_count`` but the CLI's, with the name its message gives the
-# count; each takes the count and an ``EvalCounters`` that a run or an integrand counts into
+# every caller of ``core.as_count`` but the CLI's and the quadrature's (which
+# ``test_quadrature`` checks), with the name its message gives the count; each
+# takes the count and an ``EvalCounters`` that a run counts into
 COUNT_CALLERS = [
     ("StopCriteria", "max_iter", lambda v, counters: StopCriteria(max_iter=v)),
     ("MethodId-new", "haar_points", lambda v, counters: MethodId("new", haar_points=v)),
     ("MethodId-wf", "haar_points", lambda v, counters: MethodId("wf", haar_points=v)),
     ("haar_newton_step", "node count", lambda v, counters: haar_newton_step(LINE, 3.0, counters, points=v)),
-    ("midpoint_fractions", "node count", lambda v, counters: midpoint_fractions(v)),
-    ("haar_indefinite_integral", "node count", lambda v, counters: haar_indefinite_integral(
-        lambda t: evaluate_f(LINE, t, counters), 0.0, 1.0, v)),
 ]
 
 

@@ -62,6 +62,19 @@ def test_node_fractions_sum_to_exactly_half_the_node_count():
         assert midpoint_fractions(points) == tuple((k - 0.5) / points for k in range(1, points + 1))
 
 
+@pytest.mark.parametrize("points", [2.5, 2.0, math.nan, "3", 0, [4], math.inf])
+def test_non_integral_node_count_is_a_value_error(points):
+    message = "node count must be >= 1" if points == 0 else f"node count must be an integer, not {points!r}"
+    with pytest.raises(ValueError) as info:
+        midpoint_fractions(points)
+    assert str(info.value) == message
+    calls = []
+    with pytest.raises(ValueError) as info:
+        haar_indefinite_integral(lambda t: calls.append(t) or 1.0, 0.0, 1.0, points)
+    assert str(info.value) == message
+    assert calls == []  # refused before the integrand is evaluated
+
+
 def test_node_count_may_be_any_object_that_indexes_to_an_int():
     class Four:
         def __index__(self):
