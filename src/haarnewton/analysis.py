@@ -24,11 +24,12 @@ class ConvergenceReport(FrozenRecord):
 _ReportBuilder = _builder(ConvergenceReport)
 
 
-def convergence_report(trace: Trace, root: float, n_points: int = 2) -> ConvergenceReport:
-    """Order, empirical error constant and usable error triples of a run, from one
-    backward pass over the trace. A trace too short for a diagnostic gives NaN
-    there; a non-finite root gives NaN, NaN and 0. ``n_points`` is unused; it
-    goes once the benchmark harness no longer passes it."""
+def convergence_report(trace: Trace, root: float, n_points: int = 2, *,
+                       order: int = 3) -> ConvergenceReport:
+    """Order, empirical error constant e_{n+1}/e_n^order and usable error triples of a
+    run, from one backward pass over the trace. A trace too short for a diagnostic
+    gives NaN there; a non-finite root gives NaN, NaN and 0. ``n_points`` is unused;
+    it goes once the benchmark harness no longer passes it."""
     rho = constant = e1 = e2 = math.nan  # e1, e2: |e| one and two iterates later
     triples = run = 0  # a run of L errors inside the COC window holds L - 2 triples
     for x in reversed(trace.iterates):
@@ -40,7 +41,7 @@ def convergence_report(trace: Trace, root: float, n_points: int = 2) -> Converge
                 rho = math.log(e2 / e1) / denom
         if (math.isnan(constant) and CONSTANT_ERROR_MIN < e0 <= CONSTANT_ERROR_MAX
                 and e1 > CONSTANT_NEXT_MIN):
-            constant = e1 / e0**3
+            constant = e1 / e0**order
         e1, e2 = e0, e1
     report = _ReportBuilder()  # filled with plain slot stores, skipping __init__
     report.coc = rho if len(trace.iterates) >= 4 else math.nan

@@ -16,8 +16,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_BREAKDOWN = 3
-# every other status (diverged, iteration cap) exits EXIT_NOT_CONVERGED
-STATUS_EXIT = {Status.CONVERGED: EXIT_OK, Status.DERIVATIVE_BREAKDOWN: EXIT_BREAKDOWN}
+# solve's exit code for each status, the one table of them
+STATUS_EXIT = {Status.CONVERGED: EXIT_OK, Status.DIVERGED: EXIT_NOT_CONVERGED,
+               Status.MAX_ITER: EXIT_NOT_CONVERGED, Status.DERIVATIVE_BREAKDOWN: EXIT_BREAKDOWN}
 
 
 def _type_error(message: str) -> Exception:
@@ -89,7 +90,7 @@ def cmd_solve(args: SimpleNamespace) -> tuple[int, str]:
                 f"  {i:3d}  x={analysis.format_significant(x)}"
                 f"  f(x)={analysis.format_significant(r)}"
             )
-    return STATUS_EXIT.get(outcome.status, EXIT_NOT_CONVERGED), "\n".join(lines) + "\n"
+    return STATUS_EXIT[outcome.status], "\n".join(lines) + "\n"
 
 
 def cmd_compare(args: SimpleNamespace) -> tuple[int, str]:
@@ -112,14 +113,14 @@ def cmd_coc(args: SimpleNamespace) -> tuple[int, str]:
     if (args.c2 is None) != (args.c3 is None):
         raise ValueError("--c2/--c3: give both constants or neither")
     method = _method(args.method, args)
-    theoretical = []  # its output lines; a constant that is not finite costs no run
+    order, theoretical = 3, []  # the law's order and lines, read before the run: a bad constant costs none
     if args.c2 is not None:
         order, constant = method.error_law(args.c2, args.c3)
         if not math.isfinite(constant):
             raise ValueError("--c2/--c3: the theoretical constant is not finite")
         theoretical = [f"theoretical order:    {order}", f"theoretical constant: {constant:.6g}"]
     entry, outcome = _run(args, method)
-    report = analysis.convergence_report(outcome.trace, outcome.root)
+    report = analysis.convergence_report(outcome.trace, outcome.root, order=order)
     lines = [
         f"function:             {entry.problem.name}",
         f"method:               {method.label}",

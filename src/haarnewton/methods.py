@@ -32,7 +32,7 @@ formula is written once: ``iterate(method, problem, x, StopCriteria(max_iter=1))
 with the run's counts added to the caller's ``EvalCounters``, a breakdown raised as
 ``DerivativeBreakdownError`` and the root returned. So from an exact root it returns
 x for 1 f; a step that does not break down counts its residual f(x_1) in ``n_diag``;
-and a non-finite x is a ``ValueError``. Its ``MethodId`` comes from a cache: building one costs more than a step.
+and a non-finite x is a ``ValueError``.
 
 Failures are decided in one place, and one rule, ``core.NAN_ERRORS`` (the
 math-module errors and the TypeError of a complex value), says which errors
@@ -52,7 +52,6 @@ ten times a global's, and every run would make three.
 """
 
 import enum
-from functools import lru_cache
 from math import isfinite, nan
 
 from .core import (
@@ -150,9 +149,6 @@ class MethodId(FrozenRecord):
 
 # every way a step can fail; caught only by ``iterate``
 _STEP_ERRORS = (DerivativeBreakdownError, *NAN_ERRORS)
-
-# the public steps' methods: building a ``MethodId`` costs more than the step it names
-_method = lru_cache(maxsize=128)(MethodId)
 _ONE_STEP = StopCriteria(max_iter=1)
 
 
@@ -171,13 +167,13 @@ def _one_step(method: MethodId, problem: Problem, x: float, counters: EvalCounte
 def newton_step(problem: Problem, x: float, counters: EvalCounters) -> float:
     """Classic quadratic step x - f/f', one ``iterate`` step (see the module docstring).
     Cost: 1 f, 1 f', and the residual f(x_1) in ``n_diag``."""
-    return _one_step(_method("newton"), problem, x, counters)
+    return _one_step(MethodId("newton"), problem, x, counters)
 
 
 def wf_step(problem: Problem, x: float, counters: EvalCounters) -> float:
     """Trapezoid-average third-order step, one ``iterate`` step (see the module docstring).
     Cost: 1 f, 2 f', and the residual f(x_1) in ``n_diag``."""
-    return _one_step(_method("wf"), problem, x, counters)
+    return _one_step(MethodId("wf"), problem, x, counters)
 
 
 def fs_step(problem: Problem, x: float, counters: EvalCounters,
@@ -185,19 +181,19 @@ def fs_step(problem: Problem, x: float, counters: EvalCounters,
     """Midpoint-family step in either inner-point convention, one ``iterate`` step (see the
     module docstring). Cost: 1 f, 2 f', and the residual f(x_1) in ``n_diag``.
     ``variant`` is an ``FsVariant`` or its value; anything else is a ``ValueError``."""
-    return _one_step(_method("fs", 2, FsVariant(variant)), problem, x, counters)
+    return _one_step(MethodId("fs", 2, variant), problem, x, counters)
 
 
 def oz_step(problem: Problem, x: float, counters: EvalCounters) -> float:
     """Arithmetic-mean-of-inverses third-order step, one ``iterate`` step (see the module
     docstring). Cost: 1 f, 2 f', and the residual f(x_1) in ``n_diag``."""
-    return _one_step(_method("oz"), problem, x, counters)
+    return _one_step(MethodId("oz"), problem, x, counters)
 
 
 def klw_step(problem: Problem, x: float, counters: EvalCounters) -> float:
     """Difference-quotient third-order step, one ``iterate`` step (see the module docstring).
     Cost: 2 f, 1 f', and the residual f(x_1) in ``n_diag``."""
-    return _one_step(_method("klw"), problem, x, counters)
+    return _one_step(MethodId("klw"), problem, x, counters)
 
 
 def haar_newton_step(problem: Problem, x: float, counters: EvalCounters,
@@ -205,7 +201,7 @@ def haar_newton_step(problem: Problem, x: float, counters: EvalCounters,
     """Wavelet-quadrature modified Newton step with P nodes, one ``iterate`` step (see the
     module docstring). Cost: 1 f, 1+P f', and the residual f(x_1) in ``n_diag``."""
     # a bad P is a "node count" error, before any evaluation
-    return _one_step(_method("new", as_count(points, "node count")), problem, x, counters)
+    return _one_step(MethodId("new", as_count(points, "node count")), problem, x, counters)
 
 
 def iterate(method: MethodId, problem: Problem, x0: float,

@@ -37,14 +37,14 @@ def node_sum(
     """Sum of g(a + width*c) over fractions c, left to right.
 
     This is the one node guard: a node where g raises one of ``NAN_ERRORS``
-    adds NaN, so g is called exactly once per fraction and the sum is NaN.
+    sets the sum to NaN, and g is still called exactly once per fraction.
     """
     total = 0.0
     for c in fractions:
         try:
             total += g(a + width * c)
         except NAN_ERRORS:
-            total += nan
+            total = nan
     return total
 
 

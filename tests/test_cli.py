@@ -4,17 +4,20 @@ import os
 import sys
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haarnewton import analysis, bench, cli
 from haarnewton.bench import FORMATS
 from haarnewton.cli import main
+from haarnewton.core import Status
 from haarnewton.methods import METHOD_TAGS
 
 import goldens
 from goldens import GOLDEN, README_COMMANDS
 from helpers import ROOT, run_python
+from suite_formulas import FORMULAS
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +50,16 @@ def test_solve_breakdown_exit_code(capsys):
     )
     assert code == 3
     assert "Breakdown" in out
+
+
+def test_every_status_has_its_own_exit_code(capsys):
+    # solve indexes the table, so a status without an entry is a KeyError, not a default
+    assert set(cli.STATUS_EXIT) == set(Status)
+    assert {status.value: code for status, code in cli.STATUS_EXIT.items()} == {
+        "converged": 0, "diverged": 2, "max-iterations": 2, "derivative-breakdown": 3}
+    code, out = run_cli(capsys, "solve", "--function", "f2", "--method", "new", "--max-iter", "1")
+    assert code == 2
+    assert "status:     max-iterations" in out
 
 
 def test_solve_unknown_method_is_usage_error(capsys):
@@ -323,6 +336,20 @@ def test_coc_reports_theoretical_constant_when_given(capsys, method, order, cons
     code, out = run_cli(capsys, "coc", "--function", "f6", "--method", *method, "--c2", "0.5", "--c3", "0.1")
     assert code == (2 if method == ("fs",) else 0)
     assert f"theoretical order:    {order}\ntheoretical constant: {constant}\n" in out
+
+
+def test_coc_reads_the_empirical_constant_at_the_order_of_the_law(capsys):
+    # newton on f6 with f6's own c_k = f^(k)(root)/(k! f'(root)), from sympy: the run's
+    # e_{n+1}/e_n^2 reads the theoretical c2 (0.926382), where e_{n+1}/e_n^3 reads 1.6e6
+    x = sympy.Symbol("x")
+    f6, df6 = (formula(sympy, x) for formula in FORMULAS["f6"])
+    root = sympy.nsolve(f6, x, 0.77)
+    c2, c3 = (float((sympy.diff(df6, x, k - 1) / (sympy.factorial(k) * df6)).subs(x, root)) for k in (2, 3))
+    code, out = run_cli(capsys, "coc", "--function", "f6", "--method", "newton", "--c2", repr(c2), "--c3", repr(c3))
+    lines = dict(line.split(":", 1) for line in out.splitlines())
+    assert (code, lines["theoretical order"].strip()) == (0, "2")
+    empirical, theoretical = (float(lines[f"{kind} constant"]) for kind in ("empirical", "theoretical"))
+    assert abs(empirical / theoretical - 1) < 1e-3
 
 
 ONE_CONSTANT = [("--c2", "0.5"), ("--c3", "0.1")]

@@ -6,7 +6,8 @@ fractions that ``MethodId.family`` holds, read exactly; those must be the float
 roundings of the nominal fractions, mirrored about 1/2. The expansion must
 match the law that ``MethodId.error_law`` states for every method, and so must
 a 120-digit run of ``iterate`` on f6, where new[P]'s float fractions leave no
-e^2 term for any P.
+e^2 term for any P. As P grows, new[P] tends to the Newton-Steffensen step,
+whose law is the averaging law at the moments of the uniform distribution on [0, 1].
 """
 
 from fractions import Fraction
@@ -22,8 +23,7 @@ from haarnewton.methods import MethodId, iterate
 from suite_formulas import FORMULAS
 
 C2, C3, C4 = sympy.symbols("c2 c3 c4")
-TERMS = 4  # truncated power series in e: the coefficients of e^0 .. e^3
-E = [0, 1, 0, 0]  # x = alpha + e
+E = [0, 1, 0, 0]  # x = alpha + e: a series truncated after e^3; each result has its input's length
 F = [0, 1, C2, C3, C4]  # f and f' as polynomials in e
 DF = [1, 2 * C2, 3 * C3, 4 * C4]
 
@@ -37,21 +37,21 @@ def scale(a, s):
 
 
 def mul(a, b):
-    return [sympy.expand(sum(a[i] * b[k - i] for i in range(k + 1))) for k in range(TERMS)]
+    return [sympy.expand(sum(a[i] * b[k - i] for i in range(k + 1))) for k in range(len(a))]
 
 
 def inv(a):
     out = [1 / a[0]]
-    for k in range(1, TERMS):
+    for k in range(1, len(a)):
         out.append(sympy.expand(-sum(a[i] * out[k - i] for i in range(1, k + 1)) / a[0]))
     return out
 
 
 def compose(poly, y):
     """poly(y) for a series y without constant term, by Horner's rule."""
-    out = [0] * TERMS
+    out = [0] * len(y)
     for coefficient in reversed(poly):
-        out = add(mul(out, y), [coefficient] + [0] * (TERMS - 1))
+        out = add(mul(out, y), [coefficient] + [0] * (len(y) - 1))
     return out
 
 
@@ -83,7 +83,7 @@ def step_series(method):
         shifted = compose(F, add(E, d))
         return add(E, mul(add(shifted, fx, -1), inv(dfx)), -1)
     _, fractions, endpoint, *_ = method.family
-    total = dfx if endpoint else [0] * TERMS
+    total = dfx if endpoint else [0] * len(E)
     for c in map(Fraction, fractions):
         total = add(total, compose(DF, add(E, scale(d, rational(c)), -1)))
     return add(E, scale(mul(fx, inv(total)), len(fractions) + endpoint), -1)
@@ -126,13 +126,32 @@ def test_the_law_gives_third_order_and_the_wavelet_constant():
             assert abs(law.coeff(C3) * 4 * points**2 + 1) < 1e-13, method.label
 
 
-def float_fraction_residue(points):
-    """The e^2 coefficient of new[P] on its float fractions, over c2: a rational."""
-    return sympy.cancel(step_series(MethodId("new", points))[2] / C2)
+def test_the_wavelet_step_tends_to_the_newton_steffensen_step():
+    # new[P]'s mean of f' at the nodes x - d(k - 1/2)/P, d = f/f', tends to the exact mean
+    # (f(x) - f(x - d))/d as P -> oo, here on the quartic f with symbolic x and d
+    x, d, k, points = sympy.symbols("x d k P", positive=True)
+    quartic = sympy.Lambda(x, sum(c * x**i for i, c in enumerate(F)))
+    slope = sympy.Lambda(x, sympy.diff(quartic(x), x))
 
+    def midpoint_mean(g):
+        return sympy.summation(g((k - sympy.S.Half) / points), (k, 1, points)) / points
 
-def test_float_fractions_leave_no_e2_term_for_any_node_count():
-    assert [float_fraction_residue(p) for p in range(1, 17)] == [0] * 16
+    mean = sympy.limit(midpoint_mean(lambda c: slope(x - d * c)), points, sympy.oo)
+    assert sympy.simplify(mean - (quartic(x) - quartic(x - d)) / d) == 0
+    # so the limit step is x - f^2/(f' (f(x) - f(x - d))), the Newton-Steffensen step; its law
+    # is the averaging law at the limit's moments m1 = 1/2, m2 = 1/3: c2^2 e^3 + O(e^4)
+    m1, m2 = (sympy.limit(midpoint_mean(lambda c: c**j), points, sympy.oo) for j in (1, 2))
+    assert (m1, m2) == (sympy.S.Half, sympy.Rational(1, 3))
+    # f(x) - f(x - d) and d start at e, so their quotient to e^3 needs both to e^4
+    e = E + [0]
+    fx, dfx = compose(F, e), compose(DF, e)
+    d_e = mul(fx, inv(dfx))  # d as a series in e
+    drop = add(fx, compose(F, add(e, d_e, -1)), -1)
+    assert drop[0] == d_e[0] == 0
+    exact_mean = mul(drop[1:], inv(d_e[1:]))
+    limit_step = add(E, mul(fx[:-1], inv(exact_mean)), -1)
+    law = [0, 0, (1 - 2 * m1) * C2, C2**2 + (3 * m2 - 1) * C3]
+    assert [sympy.expand(c - want) for c, want in zip(limit_step, law)] == [0] * len(E)
 
 
 # f6 = x^3 - e^-x from 0.9, at 120 digits, run until the step is below 1e-100
