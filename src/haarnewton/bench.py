@@ -5,6 +5,7 @@ from math import atan, cos, exp, log, sin
 from .analysis import classify
 from .core import FrozenRecord, Problem, Record, StopCriteria
 from .methods import MethodId, iterate
+from .quadrature import integrand
 
 
 class SuiteEntry(FrozenRecord):
@@ -29,25 +30,26 @@ class ComparisonTable(Record):
         self.rows = [] if rows is None else rows
 
 
-# x**5.0 rounds as x**5, and bound math names as math.X: same bits, f1/f1' ~10% cheaper (ROADMAP)
+# x**5.0 rounds as x**5, and bound math names as math.X: same bits, f1/f1' ~10% cheaper (ROADMAP).
+# Each f' is the text of its expression, so that quadrature compiles it into its node loop
 SUITE = (
     SuiteEntry(
-        Problem("f1", lambda x: x**5.0 - x + 1.0, lambda x: 5.0 * x**4.0 - 1.0),
+        Problem("f1", lambda x: x**5.0 - x + 1.0, integrand("5.0 * x**4.0 - 1.0")),
         2.0,
     ),
     SuiteEntry(
-        Problem("f2", lambda x: cos(x) - x, lambda x: -sin(x) - 1.0),
+        Problem("f2", lambda x: cos(x) - x, integrand("-sin(x) - 1.0")),
         1.2,
     ),
     SuiteEntry(
-        Problem("f3", atan, lambda x: 1.0 / (1.0 + x * x)),
+        Problem("f3", atan, integrand("1.0 / (1.0 + x * x)")),
         3.0,
     ),
     SuiteEntry(
         Problem(
             "f4",
             lambda x: 10.0 * x * exp(-(x * x)) - 1.0,
-            lambda x: 10.0 * exp(-(x * x)) * (1.0 - 2.0 * x * x),
+            integrand("10.0 * exp(-(x * x)) * (1.0 - 2.0 * x * x)"),
         ),
         2.5,
     ),
@@ -55,16 +57,16 @@ SUITE = (
         Problem(
             "f5",
             lambda x: exp(-x) * sin(x) + log(x * x + 1.0),
-            lambda x: exp(-x) * (cos(x) - sin(x)) + 2.0 * x / (x * x + 1.0),
+            integrand("exp(-x) * (cos(x) - sin(x)) + 2.0 * x / (x * x + 1.0)"),
         ),
         1.3,
     ),
     SuiteEntry(
-        Problem("f6", lambda x: x**3.0 - exp(-x), lambda x: 3.0 * x * x + exp(-x)),
+        Problem("f6", lambda x: x**3.0 - exp(-x), integrand("3.0 * x * x + exp(-x)")),
         2.0,
     ),
     SuiteEntry(
-        Problem("f7", lambda x: exp(-x) - cos(x), lambda x: -exp(-x) + sin(x)),
+        Problem("f7", lambda x: exp(-x) - cos(x), integrand("-exp(-x) + sin(x)")),
         2.0,
     ),
 )

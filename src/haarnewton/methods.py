@@ -25,7 +25,10 @@ one-node rule's node. All three families share the prefix that counts,
 evaluates and checks f'(x) and computes d once. Two forks pay for themselves
 there: Newton skips the empty node sum, and a one-node rule evaluates its
 node inline; its sum then lacks node_sum's leading 0.0, which only changes
-the sign of a zero sum, a breakdown either way.
+the sign of a zero sum, a breakdown either way. A rule of more than one node
+sums through the loop ``quadrature.node_loop`` picks once per run: for a
+suite f′, ``node_sum``'s loop compiled with f′'s expression inlined, the
+same bits without a call per node; for any other f′, ``node_sum``.
 
 Each public ``*_step`` function is one iteration of this loop, so every step
 formula is written once: ``iterate(method, problem, x, StopCriteria(max_iter=1))``,
@@ -39,9 +42,10 @@ math-module errors and the TypeError of a complex value), says which errors
 read as NaN. The loop calls f and f' directly, counts before each call and
 raises: a zero or non-finite divisor is a ``DerivativeBreakdownError``, and an
 error in ``NAN_ERRORS`` propagates; ``iterate`` classifies them all as
-``derivative-breakdown``. ``quadrature.node_sum`` reads such an error at a node
-as NaN, so every node is called and the count is exact, and ``iterate`` reads it
-at f(x0) and at the residuals as NaN, which means "go on". It keeps its counts
+``derivative-breakdown``. The node loop, ``node_sum`` or its compiled copy,
+reads such an error at a node as NaN, so every node is evaluated and the count
+is exact, and ``iterate`` reads it at f(x0) and at the residuals as NaN, which
+means "go on". It keeps its counts
 in locals, each incremented before its call: reused residuals go to ``n_f``,
 the one residual that no step reuses to ``n_diag``. It builds its result once, after the loop,
 through ``core._outcome``, which skips the record constructors, the largest fixed cost of a
@@ -69,7 +73,7 @@ from .core import (
     _outcome,
     as_count,
 )
-from .quadrature import midpoint_fractions, node_sum
+from .quadrature import midpoint_fractions, node_loop, node_sum
 
 
 class FsVariant(enum.Enum):
@@ -220,6 +224,7 @@ def iterate(method: MethodId, problem: Problem, x0: float,
 
     f, df = problem.f, problem.df
     family, fractions, endpoint, n, weight, c = method.family
+    loop = node_loop(df) if n > 1 else node_sum
     step_tol, residual_tol = criteria.step_tol, criteria.residual_tol
     escape_radius = criteria.escape_radius
     n_f, n_df = 1, 0
@@ -250,7 +255,7 @@ def iterate(method: MethodId, problem: Problem, x0: float,
                     if n == 1:  # an error in NAN_ERRORS here is a breakdown below
                         total = df(x + -d * c)
                     else:
-                        total = node_sum(df, x, -d, fractions)
+                        total = loop(df, x, -d, fractions)
                     if endpoint:
                         total = dfx + total
                     if total == 0.0 or not isfinite(total):

@@ -17,6 +17,7 @@ from itertools import zip_longest
 
 from haarnewton import cli
 from haarnewton.bench import suite_entry
+from haarnewton.quadrature import midpoint_fractions, node_loop, node_sum
 
 from helpers import ROOT, run_python
 from suite_formulas import FORMULAS
@@ -123,7 +124,13 @@ def bits(fn, x):
     return "nan" if math.isnan(y) else y.hex()
 
 
-# bench.SUITE writes x**5.0 and binds the math names; this pins it to the printed formulas' bits
+# (a, width) pairs whose nodes raise: exp overflows below x ~ -709.8, x**4.0 beyond ~1e77, and sin(+-inf)
+# is a ValueError
+RAISING = [(-800.0, 100.0), (-1e300, 1.0), (math.inf, 1.0), (-math.inf, 1.0)]
+
+
+# bench.SUITE writes x**5.0 and binds the math names; this pins it to the printed formulas' bits, and
+# the node loop that quadrature compiles from each f′ to node_sum's, node guard included, at P = 1, 2, 3, 128
 def suite_bits(name):
     problem = suite_entry(name).problem
     for which, ours, formula in zip(("f", "f'"), (problem.f, problem.df), FORMULAS[name]):
@@ -131,6 +138,16 @@ def suite_bits(name):
         wrong = [x for x in FLOAT_SAMPLE if bits(ours, x) != bits(printed, x)]
         if wrong:
             raise AssertionError(f"{name} {which}: {len(wrong)} values differ, first {wrong[:5]}")
+    df = problem.df
+    loop = node_loop(df)
+    expect(loop is node_sum, False)
+    for points in (1, 2, 3, 128):
+        fractions = midpoint_fractions(points)
+        wrong = [(a, width) for a, width in [*zip(FLOAT_SAMPLE[::2], FLOAT_SAMPLE[1::2]), *RAISING]
+                 if bits(lambda c: loop(df, a, width, c), fractions)
+                 != bits(lambda c: node_sum(df, a, width, c), fractions)]
+        if wrong:
+            raise AssertionError(f"{name} node loop, P = {points}: {len(wrong)} (a, width) differ, first {wrong[:5]}")
 
 
 # every check, as (name, the golden file it compares or None, call)

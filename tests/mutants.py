@@ -3,13 +3,15 @@ against the whole test suite. ``python tests/mutants.py`` enumerates the same
 mutants on every run, runs the suite (all of it but this tool's own guard) on a
 temporary copy of the tree once unmutated and once per mutant (two at a time),
 prints one line per mutant and a summary, and exits 1 when a mutant survives that ``EQUIVALENT`` does not list.
-Standard library only; about 22 minutes on two cores, so not a tier-1 step.
+Standard library only; about 22-27 minutes on two cores, so not a tier-1 step.
 
 A mutant is one swap at one operator: ``<``/``<=``, ``>``/``>=``, ``==``/``!=``,
 ``is``/``is not``, ``+``/``-`` and ``*``/``/`` (augmented forms included) and
-``and``/``or``, or a dropped ``not``. It is killed when its failing test ids
-differ from the unmutated copy's, or when its run times out. A killed line
-lists the test functions whose ids changed: the matrix a fold of tests reads.
+``and``/``or``, or a dropped ``not``, in the code and in the text of each
+``integrand`` call (the suite's f′, which ``quadrature`` compiles). It is
+killed when its failing test ids differ from the unmutated copy's, or when its
+run times out. A killed line lists the test functions whose ids changed: the
+matrix a fold of tests reads.
 """
 
 import ast
@@ -80,17 +82,21 @@ def _spans(tree, lines):
             yield start(node), start(node.operand)
 
 
-def module_mutants(module):
-    """Every mutant of ``src/haarnewton/<module>.py``, in source order."""
-    source = (ROOT / "src" / "haarnewton" / f"{module}.py").read_text()
+# the text of a call ``integrand("...")`` is code too: each f′ of bench.SUITE, which quadrature compiles
+TEXT_CALL = "integrand"
+
+
+def _operators(source):
+    """(begin, end, operator) of each swappable operator in ``source``, as character
+    offsets, the operators inside each ``integrand`` text included."""
     lines = source.splitlines(True)
     offsets = [0]
     for line in lines:
         offsets.append(offsets[-1] + len(line))
     tokens = [tok for tok in tokenize.generate_tokens(io.StringIO(source).readline)
               if tok.type in (tokenize.OP, tokenize.NAME)]
-    found = []
-    for first, last in _spans(ast.parse(source), lines):
+    tree = ast.parse(source)
+    for first, last in _spans(tree, lines):
         inside = [tok for tok in tokens if first <= tok.start and tok.end <= last
                   and tok.string not in ("(", ")")]
         operator = " ".join(tok.string for tok in inside)
@@ -100,10 +106,24 @@ def module_mutants(module):
         begin, end = offsets[row - 1] + col, offsets[end_row - 1] + end_col
         if operator == "not":  # drop the word and the spaces after it
             end += len(source[end:]) - len(source[end:].lstrip(" "))
-        found.append((row, col, operator, begin, end))
+        yield begin, end, operator
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == TEXT_CALL:
+            [literal] = node.args
+            text = literal.value
+            begin = offsets[literal.lineno - 1] + _char_col(lines[literal.lineno - 1], literal.col_offset) + 1
+            assert source[begin:begin + len(text) + 1] == text + source[begin - 1], "not a plain literal"
+            yield from ((begin + first, begin + last, operator) for first, last, operator in _operators(text))
+
+
+def module_mutants(module):
+    """Every mutant of ``src/haarnewton/<module>.py``, in source order."""
+    source = (ROOT / "src" / "haarnewton" / f"{module}.py").read_text()
+    lines = source.splitlines(True)
     mutants = []
-    for row, col, operator, begin, end in sorted(found):
+    for begin, end, operator in sorted(_operators(source)):
         replacement = SWAPS[operator]
+        row = source.count("\n", 0, begin) + 1
         mutants.append(Mutant(module, row, lines[row - 1].strip(), f"{operator} -> {replacement or '(dropped)'}",
                               source[:begin] + replacement + source[end:]))
     return mutants

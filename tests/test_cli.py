@@ -437,6 +437,21 @@ def test_cli_and_readme_commands_leave_out_argparse_gettext_locale_and_json():
     assert [(r["function"], r["method"]) for r in rows] == [("f6", "new")]
 
 
+# the suite's node loops are compiled on first use: neither the import nor a run without nodes compiles one
+COLD_START_CHECK = """
+import contextlib, io
+from haarnewton import cli, quadrature
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["solve", "--function", "f6", "--method", "klw"]) == 0
+assert quadrature._inlined.cache_info().currsize == 0
+"""
+
+
+def test_import_and_a_klw_solve_compile_no_node_loop():
+    done = run_python("-c", COLD_START_CHECK)
+    assert done.returncode == 0, done.stderr.decode()
+
+
 def test_readme_commands_take_the_exact_parser():
     for args, _ in README_COMMANDS.values():
         assert cli._parse_exact(args.split()) is not None, args

@@ -24,6 +24,7 @@ from haarnewton.core import (
 )
 from haarnewton.analysis import ConvergenceReport, classify, convergence_report
 from haarnewton.bench import SuiteEntry, builtin_suite, run_comparison, suite_entry
+from haarnewton import methods
 from haarnewton.methods import (
     METHOD_TAGS,
     FsVariant,
@@ -36,6 +37,7 @@ from haarnewton.methods import (
     oz_step,
     wf_step,
 )
+from haarnewton.quadrature import node_loop, node_sum
 
 from helpers import forbid_result_constructors
 from suite_formulas import FORMULAS
@@ -720,3 +722,33 @@ def test_one_node_overflow_is_a_breakdown(method):
     c = out.trace.counters
     assert out.status is Status.DERIVATIVE_BREAKDOWN and out.iterations == 0
     assert (c.n_f, c.n_df, c.n_diag) == (1, 2, 0)
+
+
+def _run_bits(out):
+    c = out.trace.counters
+    return (out.status, repr(out.root), out.iterations, out.nfe, c.n_f, c.n_df, c.n_diag,
+            list(map(repr, out.trace.iterates)), list(map(repr, out.trace.residuals)))
+
+
+@pytest.mark.parametrize("entry", builtin_suite(), ids=lambda e: e.problem.name)
+def test_compiled_node_loop_runs_bit_for_bit_as_node_sum(entry):
+    # a suite f' runs the loop compiled from its text; wrapped in a plain lambda, node_sum
+    df = entry.problem.df
+    plain = Problem(entry.problem.name, entry.problem.f, lambda x: df(x))
+    assert node_loop(df) is not node_sum and node_loop(plain.df) is node_sum
+    for x0 in [entry.x0, *ACCOUNTING_STARTS.get(entry.problem.name, [])]:
+        for points in range(2, 129):
+            method = MethodId("new", points)
+            assert _run_bits(iterate(method, entry.problem, x0)) == _run_bits(iterate(method, plain, x0)), (
+                method, x0)
+
+
+def test_only_a_rule_of_more_than_one_node_picks_a_node_loop(monkeypatch):
+    picked = []
+    monkeypatch.setattr(methods, "node_loop", lambda g: picked.append(g) or node_loop(g))
+    entry = suite_entry("f6")
+    for method in [MethodId("newton"), MethodId("oz"), MethodId("klw"), *ONE_NODE_METHODS]:
+        iterate(method, entry.problem, entry.x0)
+    assert picked == []
+    iterate(MethodId("new"), entry.problem, entry.x0)
+    assert picked == [entry.problem.df]
